@@ -1,50 +1,19 @@
 """Hot numeric kernels: exact-greedy split search and the SMO dual solver.
 
-Both kernels are compiled with numba's ``@njit`` when available. Setting the
-environment variable ``PERVML_NO_NUMBA=1`` (or running without numba
-installed) selects the interpreted fallback, which executes the very same
-source through CPython. The two paths perform identical floating-point
-operations in identical order, so they produce identical results; the jitted
-path is just much faster inside grid search. ``benchmarks/bench_kernels.py``
-times one against the other.
+Both are plain scalar loops over numpy arrays. At the study's sizes (tree
+nodes of a few to 19 rows, 19-row Gram matrices) a vectorised split scan
+measured no faster than this one, so these loops are the only
+implementation.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_TRUE_VALUES = ("1", "true", "yes", "on")
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("PERVML_NO_NUMBA", "").strip().lower() in _TRUE_VALUES
-
-
+# Run records note which kernel path ran; these loops are the only one.
 NUMBA_ENABLED = False
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-if not NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):
-        """No-op stand-in for numba.njit when the fallback path is selected."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
 
 
-@njit(cache=True)
 def best_split_kernel(xt, g, h, reg_lambda, reg_alpha, gamma):
     """Scan every (column, midpoint) candidate and return the best split.
 
@@ -99,7 +68,6 @@ def best_split_kernel(xt, g, h, reg_lambda, reg_alpha, gamma):
     return best_gain, best_col, best_thr
 
 
-@njit(cache=True)
 def smo_solve(K, y, C, eps, tol, max_iter):
     """Pairwise coordinate ascent on the epsilon-insensitive dual.
 
@@ -205,7 +173,3 @@ def smo_solve(K, y, C, eps, tol, max_iter):
         for t in range(n):
             v[t] += K[t, i] * d_i + K[t, j] * d_j
 
-
-def python_impl(kernel):
-    """The interpreted twin of a kernel (the kernel itself when not jitted)."""
-    return getattr(kernel, "py_func", kernel)

@@ -8,27 +8,7 @@ import numpy as np
 
 from .data import FEATURE_COLUMNS, TARGET_COLUMNS, Dataset
 from .gbrt import TreeEnsemble, TreeNode
-
-
-class UndefinedCorrelationError(ValueError):
-    pass
-
-
-def pearson(x, y) -> float:
-    """Signed product-moment correlation in [-1, 1]."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    if x.size < 2:
-        raise UndefinedCorrelationError("need at least 2 samples")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    denom = np.sqrt((dx * dx).mean() * (dy * dy).mean())
-    if denom == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for a constant vector")
-    r = (dx * dy).mean() / denom
-    return float(np.clip(r, -1.0, 1.0))
+from .metrics import UndefinedCorrelationError, pearson
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,10 @@ import argparse
 import os
 import sys
 
-from . import __version__, gbrt, svr
+from . import __version__
 from .analysis import importance as compute_importance
 from .analysis import sensitivity_table
-from .data import ALL_COLUMNS, DatasetError, describe, load_bundled, load_csv
+from .data import ALL_COLUMNS, TARGET_COLUMNS, DatasetError, describe, load_bundled, load_csv
 from .metrics import EvalReport
 from .modelio import ModelIOError
 from .pipeline import (
@@ -32,6 +32,7 @@ from .pipeline import (
     write_sensitivity_csv,
 )
 from .tuning import (
+    FAMILIES,
     default_grid,
     grid_search,
     make_params,
@@ -61,13 +62,9 @@ def _add_data_arg(sub):
 
 def _add_common(sub, with_model=True):
     _add_data_arg(sub)
-    sub.add_argument(
-        "--target",
-        choices=("density", "compressive", "tensile", "porosity"),
-        default="compressive",
-    )
+    sub.add_argument("--target", choices=TARGET_COLUMNS, default="compressive")
     if with_model:
-        sub.add_argument("--model", choices=("gbrt", "svr"), default="gbrt")
+        sub.add_argument("--model", choices=tuple(FAMILIES), default="gbrt")
     sub.add_argument(
         "--split",
         default="paper",
@@ -219,7 +216,7 @@ def cmd_tune(args) -> int:
             fh.write(f"{key} = {value}\n")
     model = refit_best(train, args.model, best, seed=args.seed)
     model_path = os.path.join(out, f"model_{args.model}_{args.target}.json")
-    (gbrt if args.model == "gbrt" else svr).save_model(model, model_path)
+    FAMILIES[args.model].module.save_model(model, model_path)
     print(f"best combination: {best}")
     print(f"wrote {cv_path}, {best_path}, {model_path}")
     return 0
@@ -232,14 +229,10 @@ def cmd_train(args) -> int:
     run = run_model(ds, args.target, args.model, params, spec, args.scaler)
     out = _ensure_out(args.out)
     path = os.path.join(out, f"model_{args.model}_{args.target}.json")
-    (gbrt if args.model == "gbrt" else svr).save_model(run.model, path)
+    FAMILIES[args.model].module.save_model(run.model, path)
     _print_report("train", run.train_report)
     print(f"wrote {path}")
     return 0
-
-
-def _load_model_file(path: str, family: str):
-    return (gbrt if family == "gbrt" else svr).load_model(path)
 
 
 def cmd_evaluate(args) -> int:
@@ -248,7 +241,7 @@ def cmd_evaluate(args) -> int:
     model = None
     params = None
     if args.model_file:
-        model = _load_model_file(args.model_file, args.model)
+        model = FAMILIES[args.model].module.load_model(args.model_file)
     else:
         params = _params_from_args(args, args.model)
     run = run_model(ds, args.target, args.model, params, spec, args.scaler, model=model)
@@ -265,7 +258,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_importance(args) -> int:
     if args.model_file:
-        model = gbrt.load_model(args.model_file)
+        model = FAMILIES["gbrt"].module.load_model(args.model_file)
     else:
         ds = _load(args)
         spec = resolve_split(ds, args.split)
@@ -297,13 +290,7 @@ def cmd_importance(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    cfg = RunConfig(
-        data_path=_data_path(args),
-        scaler_mode=args.scaler,
-        seed=args.seed,
-        out_dir=args.out,
-        strict=args.strict,
-    )
+    cfg = RunConfig(data_path=_data_path(args), scaler_mode=args.scaler, seed=args.seed)
     report = reproduce(cfg)
     out = _ensure_out(args.out)
     report_path = os.path.join(out, "repro_report.csv")

@@ -272,19 +272,24 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(obj) -> TreeNode:
+def _node_from_dict(obj, n_features: int) -> TreeNode:
     if not isinstance(obj, dict):
         raise ModelIOError("tree node must be an object")
     if "weight" in obj:
         return TreeNode(weight=float(obj["weight"]))
     try:
+        feature = int(obj["feature"])
+        if not 0 <= feature < n_features:
+            raise ModelIOError(
+                f"split feature {feature} out of range for {n_features} feature(s)"
+            )
         return TreeNode(
-            feature=int(obj["feature"]),
+            feature=feature,
             threshold=float(obj["threshold"]),
             gain=float(obj["gain"]),
             cover=float(obj["cover"]),
-            left=_node_from_dict(obj["left"]),
-            right=_node_from_dict(obj["right"]),
+            left=_node_from_dict(obj["left"], n_features),
+            right=_node_from_dict(obj["right"], n_features),
         )
     except KeyError as exc:
         raise ModelIOError(f"tree node missing field {exc}") from exc
@@ -306,11 +311,12 @@ def save_model(model: TreeEnsemble, path):
 def load_model(path) -> TreeEnsemble:
     payload = read_model(path, expected_type="gbrt")
     try:
+        feature_names = tuple(payload["feature_names"])
         return TreeEnsemble(
             base_score=float(payload["base_score"]),
             eta=float(payload["eta"]),
-            feature_names=tuple(payload["feature_names"]),
-            trees=[_node_from_dict(t) for t in payload["trees"]],
+            feature_names=feature_names,
+            trees=[_node_from_dict(t, len(feature_names)) for t in payload["trees"]],
         )
     except (KeyError, TypeError) as exc:
         raise ModelIOError(f"{path}: malformed model payload ({exc})") from exc

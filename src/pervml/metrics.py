@@ -23,6 +23,23 @@ def _pair(y, y_hat):
     return y, y_hat
 
 
+def pearson(x, y) -> float:
+    """Signed product-moment correlation in [-1, 1]."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
+    if x.size < 2:
+        raise UndefinedCorrelationError("need at least 2 samples")
+    dx = x - x.mean()
+    dy = y - y.mean()
+    denom = np.sqrt((dx * dx).mean() * (dy * dy).mean())
+    if denom == 0.0:
+        raise UndefinedCorrelationError("correlation undefined for a constant vector")
+    r = (dx * dy).mean() / denom
+    return float(np.clip(r, -1.0, 1.0))
+
+
 def r_squared(y, y_hat) -> float:
     """Squared Pearson correlation between observed and estimated values.
 
@@ -30,15 +47,8 @@ def r_squared(y, y_hat) -> float:
     the two differ for biased predictors.
     """
     y, y_hat = _pair(y, y_hat)
-    if y.size < 2:
-        raise UndefinedCorrelationError("need at least 2 samples")
-    dy = y - y.mean()
-    dp = y_hat - y_hat.mean()
-    denom = np.sqrt((dp * dp).mean() * (dy * dy).mean())
-    if denom == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for a constant vector")
-    r = (dp * dy).mean() / denom
-    return min(float(r * r), 1.0)
+    r = pearson(y_hat, y)
+    return min(r * r, 1.0)
 
 
 def rmse(y, y_hat) -> float:

@@ -14,9 +14,6 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-import numpy as np
-
-from . import gbrt, svr
 from .analysis import ImportanceReport, SensitivityTable, importance
 from .data import (
     TARGET_COLUMNS,
@@ -32,7 +29,7 @@ from .data import (
     split,
 )
 from .metrics import EvalReport, evaluate_all
-from .tuning import CvResult, TargetSlice, make_params, target_slice
+from .tuning import FAMILIES, CvResult, TargetSlice, fit_model, make_params, target_slice
 
 PHASES = ("train", "test")
 METRIC_FIELDS = ("r2", "rmse", "mae", "mape")
@@ -53,13 +50,8 @@ REPRO_SEED = 7
 @dataclass(frozen=True)
 class RunConfig:
     data_path: str | None = None  # None selects the bundled table
-    target: str = "compressive"
-    family: str = "gbrt"
-    split: str = "paper"  # "paper" | "random:<seed>" | "ids:<file>"
     scaler_mode: str = "full"  # "full" | "train"
     seed: int = REPRO_SEED
-    out_dir: str | None = None
-    strict: bool = False
 
 
 def load_dataset(cfg: RunConfig) -> Dataset:
@@ -146,14 +138,7 @@ def run_model(
     train_slice = target_slice(train_ds, target, scaler)
 
     if model is None:
-        if family == "gbrt":
-            model = gbrt.fit(
-                train_slice.X, train_slice.y, params, feature_names=ds.feature_names
-            )
-        elif family == "svr":
-            model = svr.fit(train_slice.X, train_slice.y, params)
-        else:
-            raise DatasetError(f"unknown model family {family!r}")
+        model = fit_model(family, train_slice.X, train_slice.y, params, ds.feature_names)
 
     train_report, rows = _evaluate_phase(model, train_slice, scaler, target, "train")
     test_report = None
@@ -218,7 +203,7 @@ def reproduce(cfg: RunConfig) -> ReproReport:
     runs: dict[tuple[str, str], ModelRun] = {}
     importances: dict[str, ImportanceReport] = {}
     for target in TARGET_COLUMNS:
-        for family in ("gbrt", "svr"):
+        for family in FAMILIES:
             setting = dict(ref["settings"][family][target])
             params = make_params(family, setting, seed=cfg.seed)
             run = run_model(ds, target, family, params, spec, cfg.scaler_mode)

@@ -110,11 +110,13 @@ class SvrModel:
         return K @ self.dual_coefs + self.bias
 
 
-def fit(X, y, params: SvrParams) -> SvrModel:
+def fit(X, y, params: SvrParams, feature_names=None) -> SvrModel:
     """Solve the dual to tolerance and assemble the support-vector expansion.
 
     If the iteration cap is hit first, the best-effort model is returned
     with converged=False and an SvrConvergenceWarning carrying the residual.
+    feature_names is accepted so that every family fits through the same
+    call; an SVR model keeps no names.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -245,10 +247,16 @@ def load_model(path) -> SvrModel:
         )
         n_features = int(payload["n_features"])
         sv = np.array(payload["support_vectors"], dtype=float).reshape(-1, n_features)
+        dual_coefs = np.array(payload["dual_coefs"], dtype=float)
+        if dual_coefs.shape != (len(sv),):
+            raise ModelIOError(
+                f"{path}: {dual_coefs.size} dual coefficient(s) "
+                f"for {len(sv)} support vector(s)"
+            )
         solver = payload.get("solver", {})
         return SvrModel(
             support_vectors=sv,
-            dual_coefs=np.array(payload["dual_coefs"], dtype=float),
+            dual_coefs=dual_coefs,
             bias=float(payload["bias"]),
             params=params,
             n_features=n_features,

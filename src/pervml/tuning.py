@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import itertools
 from dataclasses import dataclass, field
+from types import ModuleType
 
 import numpy as np
 
@@ -17,7 +18,44 @@ from . import gbrt, svr
 from .data import FEATURE_COLUMNS, Dataset, Scaler
 from .metrics import mse
 
-FAMILIES = ("gbrt", "svr")
+
+@dataclass(frozen=True)
+class ModelFamily:
+    """A model family: the module whose fit / save_model / load_model serve
+    it, its params class, and its shipped default search space."""
+
+    module: ModuleType
+    params: type
+    default_axes: dict
+
+
+# The one place that maps a family name to its code.
+FAMILIES = {
+    "gbrt": ModelFamily(
+        gbrt,
+        gbrt.GbrtParams,
+        {
+            "n_estimators": (18, 25, 83, 100),
+            "max_depth": (5,),
+            "eta": (0.28, 0.3, 0.34, 0.95),
+            "gamma": (0.001, 0.002, 0.005, 0.01),
+            "reg_alpha": (0.02, 0.11, 1.1),
+            "reg_lambda": (0.81, 0.92, 1.65, 1.69),
+            "subsample": (0.7, 1.0),
+            "colsample_bytree": (0.7, 1.0),
+        },
+    ),
+    "svr": ModelFamily(
+        svr,
+        svr.SvrParams,
+        {
+            "C": (1.0, 3.0, 10.0, 29.0, 39.0, 100.0, 200.0),
+            "gamma": (0.001, 0.005, 0.01, 0.02, 0.05, 0.11, 0.117, 0.16687, 0.5, 1.0),
+            "epsilon": (0.001, 0.01, 0.05, 0.1, 0.15, 0.2, 0.24, 0.3, 0.5),
+            "kernel": ("linear", "polynomial", "rbf", "sigmoid"),
+        },
+    ),
+}
 
 _INT_AXES = {"n_estimators", "max_depth", "degree", "seed", "max_passes"}
 _STR_AXES = {"kernel"}
@@ -48,7 +86,7 @@ class HyperGrid:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}")
+            raise ValueError(f"family must be one of {tuple(FAMILIES)}")
         if not self.axes:
             raise ValueError("grid needs at least one axis")
         for name, values in self.axes.items():
@@ -78,15 +116,32 @@ class CvResult:
     error: str | None = None
 
 
+def _family(name: str) -> ModelFamily:
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown model family {name!r}") from None
+
+
 def make_params(family: str, combination: dict, seed: int | None = None):
-    """Build a params object for `family` from a grid combination."""
-    if family == "gbrt":
-        if seed is not None:
-            combination = {"seed": seed, **combination}
-        return gbrt.GbrtParams(**combination)
-    if family == "svr":
-        return svr.SvrParams(**combination)
-    raise ValueError(f"unknown model family {family!r}")
+    """Build a params object for `family` from a grid combination.
+
+    `seed` applies only to params that have one (gbrt's subsampling); a
+    seed inside the combination takes precedence.
+    """
+    params_cls = _family(family).params
+    if seed is not None and "seed" in params_cls.__dataclass_fields__:
+        combination = {"seed": seed, **combination}
+    return params_cls(**combination)
+
+
+def fit_model(family: str, X, y, params, feature_names=None):
+    """Fit one model of `family`: the single entry to every family's fit."""
+    return _family(family).module.fit(X, y, params, feature_names=feature_names)
+
+
+def _feature_names(X):
+    return FEATURE_COLUMNS if X.shape[1] == len(FEATURE_COLUMNS) else None
 
 
 def kfold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
@@ -116,16 +171,18 @@ def grid_search(
     """
     n = train.y.shape[0]
     folds = kfold_indices(n, k, seed)
+    names = _feature_names(train.X)
     results = []
     for combination in grid.combinations():
         result = CvResult(combination=dict(combination))
         try:
+            params = make_params(grid.family, combination, seed=seed)
             fold_scores = []
             for fold in folds:
                 holdout = np.zeros(n, dtype=bool)
                 holdout[fold] = True
-                model = _fit_family(
-                    grid.family, train.X[~holdout], train.y[~holdout], combination, seed
+                model = fit_model(
+                    grid.family, train.X[~holdout], train.y[~holdout], params, names
                 )
                 fold_scores.append(mse(train.y[holdout], model.predict(train.X[holdout])))
             result.fold_mse = fold_scores
@@ -144,17 +201,10 @@ def grid_search(
     return dict(best.combination), results
 
 
-def _fit_family(family: str, X, y, combination: dict, seed: int):
-    params = make_params(family, combination, seed=seed)
-    if family == "gbrt":
-        names = FEATURE_COLUMNS if X.shape[1] == len(FEATURE_COLUMNS) else None
-        return gbrt.fit(X, y, params, feature_names=names)
-    return svr.fit(X, y, params)
-
-
 def refit_best(train: TargetSlice, family: str, combination: dict, seed: int = 42):
     """One final fit of the winning combination on the whole training slice."""
-    return _fit_family(family, train.X, train.y, combination, seed)
+    params = make_params(family, combination, seed=seed)
+    return fit_model(family, train.X, train.y, params, _feature_names(train.X))
 
 
 def default_grid(family: str) -> HyperGrid:
@@ -165,31 +215,7 @@ def default_grid(family: str) -> HyperGrid:
     axis small while including every published optimum as a grid point, so
     refitting the winner can reproduce the published settings exactly.
     """
-    if family == "gbrt":
-        return HyperGrid(
-            family="gbrt",
-            axes={
-                "n_estimators": (18, 25, 83, 100),
-                "max_depth": (5,),
-                "eta": (0.28, 0.3, 0.34, 0.95),
-                "gamma": (0.001, 0.002, 0.005, 0.01),
-                "reg_alpha": (0.02, 0.11, 1.1),
-                "reg_lambda": (0.81, 0.92, 1.65, 1.69),
-                "subsample": (0.7, 1.0),
-                "colsample_bytree": (0.7, 1.0),
-            },
-        )
-    if family == "svr":
-        return HyperGrid(
-            family="svr",
-            axes={
-                "C": (1.0, 3.0, 10.0, 29.0, 39.0, 100.0, 200.0),
-                "gamma": (0.001, 0.005, 0.01, 0.02, 0.05, 0.11, 0.117, 0.16687, 0.5, 1.0),
-                "epsilon": (0.001, 0.01, 0.05, 0.1, 0.15, 0.2, 0.24, 0.3, 0.5),
-                "kernel": ("linear", "polynomial", "rbf", "sigmoid"),
-            },
-        )
-    raise ValueError(f"unknown model family {family!r}")
+    return HyperGrid(family=family, axes=dict(_family(family).default_axes))
 
 
 def _parse_axis_value(axis: str, text: str):

@@ -1,4 +1,5 @@
 import csv
+import json
 import re
 
 import pytest
@@ -98,19 +99,39 @@ class TestEvaluate:
         assert test_ids == {"C11", "C12", "C15", "C21", "C23"}
 
     def test_model_file_round_trip(self, tmp_path, capsys):
+        # Both families: a loaded model writes the same bytes as a direct fit.
+        for family in ("gbrt", "svr"):
+            common = ("--model", family, "--target", "compressive")
+            out = tmp_path / family
+            assert run_cli("train", *common, "--out", str(out / "models")) == 0
+            model_file = out / "models" / f"model_{family}_compressive.json"
+            assert run_cli("evaluate", *common, "--out", str(out / "direct")) == 0
+            rc = run_cli(
+                "evaluate", *common, "--model-file", str(model_file),
+                "--out", str(out / "loaded"),
+            )
+            assert rc == 0
+            for name in (
+                f"metrics_{family}_compressive.csv",
+                f"predictions_{family}_compressive.csv",
+            ):
+                loaded = (out / "loaded" / name).read_bytes()
+                assert loaded == (out / "direct" / name).read_bytes()
+
+    def test_malformed_model_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("train", "--target", "compressive", "--out", str(out)) == 0
-        rc = run_cli(
-            "evaluate",
-            "--target",
-            "compressive",
-            "--model-file",
-            str(out / "model_gbrt_compressive.json"),
-            "--out",
-            str(out),
-        )
-        assert rc == 0
-        assert (out / "metrics_gbrt_compressive.csv").exists()
+        model_file = out / "model_gbrt_compressive.json"
+        payload = json.loads(model_file.read_text())
+        payload["trees"][0]["feature"] = 9
+        model_file.write_text(json.dumps(payload))
+        capsys.readouterr()
+        for command in ("evaluate", "importance"):
+            rc = run_cli(command, "--model-file", str(model_file), "--out", str(out))
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "out of range" in err
+            assert "Traceback" not in err
 
     def test_csv_round_trips_losslessly(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -81,14 +81,6 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="positive"):
             load_csv(path)
 
-    def test_repo_copy_matches_package_copy(self):
-        from pathlib import Path
-
-        from pervml.data import bundled_path
-
-        repo_copy = Path(__file__).resolve().parent.parent / "data" / "pervious.csv"
-        assert repo_copy.read_bytes() == Path(bundled_path()).read_bytes()
-
 
 class TestDescribe:
     @pytest.mark.parametrize("column", ALL_COLUMNS)

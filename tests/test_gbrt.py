@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from pervml import gbrt
+from pervml._kernels import best_split_kernel
 from pervml.gbrt import (
     GbrtParams,
     GradStats,
@@ -191,6 +194,13 @@ class TestGreedyMatchesEnumeration:
             checked_splits += 1
         assert checked_splits > 50  # the generator must exercise real splits
 
+    def test_constant_columns_yield_no_split(self):
+        xt = np.zeros((2, 5))
+        g = np.arange(5.0)
+        h = np.ones(5)
+        gain, col, thr = best_split_kernel(xt, g, h, 1.0, 0.0, 0.0)
+        assert col == -1
+
 
 class TestFit:
     def test_zero_estimators_predicts_base(self, rng):
@@ -308,6 +318,16 @@ class TestPersistence:
         gbrt.save_model(gbrt.fit(STUMP_X, STUMP_Y, stump_params()), path)
         path.write_text(path.read_text().replace('"format_version": 1', '"format_version": 99'))
         with pytest.raises(ModelIOError, match="format_version"):
+            gbrt.load_model(path)
+
+    @pytest.mark.parametrize("feature", [9, -3])
+    def test_split_feature_out_of_range_rejected(self, tmp_path, feature):
+        path = tmp_path / "model.json"
+        gbrt.save_model(gbrt.fit(STUMP_X, STUMP_Y, stump_params()), path)
+        payload = json.loads(path.read_text())
+        payload["trees"][0]["feature"] = feature
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelIOError, match="out of range"):
             gbrt.load_model(path)
 
     def test_wrong_model_type_rejected(self, tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,16 @@ class TestPersistence:
         path = tmp_path / "svr.json"
         path.write_text("{ not json")
         with pytest.raises(ModelIOError, match="corrupt"):
+            svr.load_model(path)
+
+    def test_dual_coefs_count_mismatch_rejected(self, train_slices, tmp_path):
+        model, _, _ = fit_reference_setting(train_slices, "porosity")
+        path = tmp_path / "svr.json"
+        svr.save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload["dual_coefs"].pop()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelIOError, match="dual coefficient"):
             svr.load_model(path)
 
     def test_constant_model_round_trips(self, tmp_path):
