@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FEATURE_COLUMNS, TARGET_COLUMNS, Dataset
-from .gbrt import TreeEnsemble, TreeNode
+from .gbrt import TreeEnsemble
 from .metrics import UndefinedCorrelationError, pearson
 
 
@@ -77,14 +77,6 @@ class ImportanceReport:
         return self.features[int(np.argmin(self.mean_rank))]
 
 
-def _collect_splits(node: TreeNode, sink: list):
-    if node.is_leaf:
-        return
-    sink.append((node.feature, node.gain, node.cover))
-    _collect_splits(node.left, sink)
-    _collect_splits(node.right, sink)
-
-
 def _rank_scores(scores: np.ndarray) -> np.ndarray:
     order = sorted(range(scores.size), key=lambda i: (-scores[i], i))
     ranks = np.empty(scores.size, dtype=int)
@@ -96,17 +88,15 @@ def _rank_scores(scores: np.ndarray) -> np.ndarray:
 def importance(model: TreeEnsemble) -> ImportanceReport:
     """Rank features by mean split gain, split count, and mean split cover."""
     d = model.n_features
-    splits: list[tuple[int, float, float]] = []
-    for root in model.trees:
-        _collect_splits(root, splits)
-
     gain = np.zeros(d)
     weight = np.zeros(d)
     cover = np.zeros(d)
-    for feature, node_gain, node_cover in splits:
-        weight[feature] += 1
-        gain[feature] += node_gain
-        cover[feature] += node_cover
+    for tree in model.trees:
+        for feature, node_gain, node_cover in zip(tree.feature, tree.gain, tree.cover):
+            if feature >= 0:
+                weight[feature] += 1
+                gain[feature] += node_gain
+                cover[feature] += node_cover
     used = weight > 0
     gain[used] /= weight[used]
     cover[used] /= weight[used]
@@ -124,5 +114,5 @@ def importance(model: TreeEnsemble) -> ImportanceReport:
         rank_weight=rank_weight,
         rank_cover=rank_cover,
         mean_rank=mean_rank,
-        degenerate=not splits,
+        degenerate=not used.any(),
     )

@@ -6,6 +6,16 @@ largest regularized loss reduction wins. Leaf values come from the closed
 form -soft_threshold(G, alpha) / (H + lambda); a split is kept only when its
 gain (which already subtracts the per-leaf penalty gamma) is positive.
 Squared-error loss throughout: gradient y_hat - y, hessian 1.
+
+Each tree is one node table (`Tree`): parallel lists `feature`, `threshold`,
+`gain`, `cover` (hessian sum), `value`, `left` and `right`, numbered in
+depth-first pre-order with the left child first. The root is node 0, an
+internal node's left child is the next node and its right child follows the
+left subtree, so every child's number is greater than its parent's. A leaf
+has feature -1, its value, and children -1; an internal node has value 0.
+Pre-order lets growth, prediction, importance and the nested model JSON each
+work from one loop or one explicit stack, visiting nodes in the order a
+recursive walk would, so sums over nodes keep their order.
 """
 
 from __future__ import annotations
@@ -47,50 +57,48 @@ class GbrtParams:
             raise ValueError("colsample_bytree must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class GradStats:
-    """Accumulated first/second derivatives over a set of samples."""
-
-    grad_sum: float
-    hess_sum: float
-    count: int
-
-    @classmethod
-    def from_arrays(cls, g, h) -> "GradStats":
-        g = np.asarray(g, dtype=float)
-        h = np.asarray(h, dtype=float)
-        return cls(grad_sum=float(g.sum()), hess_sum=float(h.sum()), count=g.size)
-
-
 @dataclass
-class TreeNode:
-    """Internal node (feature >= 0) or leaf (feature == -1, weight set)."""
+class Tree:
+    """One regression tree as a pre-order node table (see the module docstring)."""
 
-    feature: int = -1
-    threshold: float = 0.0
-    gain: float = 0.0
-    cover: float = 0.0
-    weight: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    feature: list[int] = field(default_factory=list)
+    threshold: list[float] = field(default_factory=list)
+    gain: list[float] = field(default_factory=list)
+    cover: list[float] = field(default_factory=list)
+    value: list[float] = field(default_factory=list)
+    left: list[int] = field(default_factory=list)
+    right: list[int] = field(default_factory=list)
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+
+def _add_node(
+    tree: Tree, parent: int, feature=-1, threshold=0.0, gain=0.0, cover=0.0, value=0.0
+) -> int:
+    """Append the next node in pre-order; `parent` >= 0 marks a right child."""
+    node = len(tree.feature)
+    if parent >= 0:
+        tree.right[parent] = node
+    tree.feature.append(feature)
+    tree.threshold.append(threshold)
+    tree.gain.append(gain)
+    tree.cover.append(cover)
+    tree.value.append(value)
+    tree.left.append(node + 1 if feature >= 0 else -1)
+    tree.right.append(-1)
+    return node
 
 
 @dataclass
 class TreeEnsemble:
     """An additive stack of regression trees over normalized features.
 
-    Leaf weights are already scaled by the learning rate at fit time, so
+    Leaf values are already scaled by the learning rate at fit time, so
     prediction is base_score plus a plain sum over trees.
     """
 
     base_score: float
     eta: float
     feature_names: tuple[str, ...]
-    trees: list[TreeNode] = field(default_factory=list)
+    trees: list[Tree] = field(default_factory=list)
 
     @property
     def n_features(self) -> int:
@@ -103,8 +111,8 @@ class TreeEnsemble:
                 f"expected {self.n_features} feature column(s), got shape {X.shape}"
             )
         out = np.full(X.shape[0], self.base_score, dtype=float)
-        for root in self.trees:
-            out += predict_tree(root, X)
+        for tree in self.trees:
+            out += predict_tree(tree, X)
         return out
 
 
@@ -121,59 +129,13 @@ def _soft_threshold(value: float, alpha: float) -> float:
     return math.copysign(max(abs(value) - alpha, 0.0), value)
 
 
-def leaf_weight(stats: GradStats, params: GbrtParams) -> float:
+def leaf_weight(grad_sum: float, hess_sum: float, params: GbrtParams) -> float:
     """Optimal leaf value under the L1/L2-regularized second-order objective."""
-    return -_soft_threshold(stats.grad_sum, params.reg_alpha) / (
-        stats.hess_sum + params.reg_lambda
-    )
+    return -_soft_threshold(grad_sum, params.reg_alpha) / (hess_sum + params.reg_lambda)
 
 
-def split_gain(left: GradStats, right: GradStats, params: GbrtParams) -> float:
-    """Regularized loss reduction of a split, minus the per-leaf penalty gamma.
-
-    Uses the same expression, in the same operation order, as the split
-    kernel so that enumerating candidates through this function reproduces
-    the kernel's scores exactly.
-    """
-    gl, hl = left.grad_sum, left.hess_sum
-    gr, hr = right.grad_sum, right.hess_sum
-    alpha = params.reg_alpha
-    lam = params.reg_lambda
-    tl = max(abs(gl) - alpha, 0.0)
-    tr = max(abs(gr) - alpha, 0.0)
-    tp = max(abs(gl + gr) - alpha, 0.0)
-    return (
-        0.5 * (tl * tl / (hl + lam) + tr * tr / (hr + lam) - tp * tp / (hl + hr + lam))
-        - params.gamma
-    )
-
-
-def _grow(X, g, h, params: GbrtParams, columns: np.ndarray, depth: int) -> TreeNode:
-    n = X.shape[0]
-    cover = float(h.sum())
-    if depth >= params.max_depth or n < 2:
-        return TreeNode(weight=leaf_weight(GradStats.from_arrays(g, h), params))
-    xt = np.ascontiguousarray(X[:, columns].T)
-    gain, col_local, threshold = _kernels.best_split_kernel(
-        xt, g, h, params.reg_lambda, params.reg_alpha, params.gamma
-    )
-    if col_local < 0 or gain <= 0.0:
-        return TreeNode(weight=leaf_weight(GradStats.from_arrays(g, h), params))
-    feature = int(columns[col_local])
-    mask = X[:, feature] <= threshold
-    node = TreeNode(
-        feature=feature,
-        threshold=float(threshold),
-        gain=float(gain),
-        cover=cover,
-        left=_grow(X[mask], g[mask], h[mask], params, columns, depth + 1),
-        right=_grow(X[~mask], g[~mask], h[~mask], params, columns, depth + 1),
-    )
-    return node
-
-
-def build_tree(X, g, h, params: GbrtParams, rng=None) -> TreeNode:
-    """Grow one tree by exact greedy search.
+def build_tree(X, g, h, params: GbrtParams, rng=None) -> Tree:
+    """Grow one tree by exact greedy search, depth first from an explicit stack.
 
     When colsample_bytree < 1 and an rng is given, the tree sees only a
     random draw of ceil(colsample_bytree * d) columns (without replacement,
@@ -194,26 +156,44 @@ def build_tree(X, g, h, params: GbrtParams, rng=None) -> TreeNode:
         columns = np.sort(rng.choice(d, size=n_cols, replace=False))
     else:
         columns = np.arange(d)
-    return _grow(X, g, h, params, columns, depth=0)
+
+    tree = Tree()
+    # (rows, gradients, hessians, depth, parent if this is a right child else -1);
+    # the left child is pushed last so it is numbered next (pre-order).
+    stack = [(X, g, h, 0, -1)]
+    while stack:
+        X, g, h, depth, parent = stack.pop()
+        gain, col_local = 0.0, -1
+        if depth < params.max_depth and X.shape[0] >= 2:
+            xt = np.ascontiguousarray(X[:, columns].T)
+            gain, col_local, threshold = _kernels.best_split_kernel(
+                xt, g, h, params.reg_lambda, params.reg_alpha, params.gamma
+            )
+        if col_local < 0 or gain <= 0.0:
+            value = leaf_weight(float(g.sum()), float(h.sum()), params)
+            _add_node(tree, parent, value=value)
+            continue
+        feature = int(columns[col_local])
+        node = _add_node(
+            tree, parent, feature, float(threshold), float(gain), float(h.sum())
+        )
+        mask = X[:, feature] <= threshold
+        stack.append((X[~mask], g[~mask], h[~mask], depth + 1, node))
+        stack.append((X[mask], g[mask], h[mask], depth + 1, -1))
+    return tree
 
 
-def predict_tree(root: TreeNode, X) -> np.ndarray:
+def predict_tree(tree: Tree, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    out = np.empty(X.shape[0], dtype=float)
-    for i in range(X.shape[0]):
-        node = root
-        while not node.is_leaf:
-            node = node.left if X[i, node.feature] <= node.threshold else node.right
-        out[i] = node.weight
-    return out
-
-
-def _scale_leaves(node: TreeNode, factor: float):
-    if node.is_leaf:
-        node.weight *= factor
-    else:
-        _scale_leaves(node.left, factor)
-        _scale_leaves(node.right, factor)
+    feature, threshold = tree.feature, tree.threshold
+    left, right, value = tree.left, tree.right, tree.value
+    out = []
+    for row in X.tolist():
+        node = 0
+        while feature[node] >= 0:
+            node = left[node] if row[feature[node]] <= threshold[node] else right[node]
+        out.append(value[node])
+    return np.array(out, dtype=float)
 
 
 def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
@@ -248,51 +228,55 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
             rows = np.sort(rng.choice(n, size=n_rows, replace=False))
         else:
             rows = np.arange(n)
-        root = build_tree(X[rows], g[rows], h[rows], params, rng)
-        _scale_leaves(root, params.eta)
-        ensemble.trees.append(root)
-        preds += predict_tree(root, X)
+        tree = build_tree(X[rows], g[rows], h[rows], params, rng)
+        tree.value = [v * params.eta for v in tree.value]
+        ensemble.trees.append(tree)
+        preds += predict_tree(tree, X)
     return ensemble
 
 
-def predict(model: TreeEnsemble, X) -> np.ndarray:
-    return model.predict(X)
+def _tree_to_dict(tree: Tree) -> dict:
+    """Nested JSON object of a tree, built from the last node back to the root."""
+    nodes: list = [None] * len(tree.feature)
+    for i in reversed(range(len(nodes))):
+        if tree.feature[i] < 0:
+            nodes[i] = {"weight": tree.value[i]}
+        else:
+            nodes[i] = {
+                "feature": tree.feature[i],
+                "threshold": tree.threshold[i],
+                "gain": tree.gain[i],
+                "cover": tree.cover[i],
+                "left": nodes[tree.left[i]],
+                "right": nodes[tree.right[i]],
+            }
+    return nodes[0]
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"weight": node.weight}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "gain": node.gain,
-        "cover": node.cover,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(obj, n_features: int) -> TreeNode:
-    if not isinstance(obj, dict):
-        raise ModelIOError("tree node must be an object")
-    if "weight" in obj:
-        return TreeNode(weight=float(obj["weight"]))
-    try:
-        feature = int(obj["feature"])
-        if not 0 <= feature < n_features:
-            raise ModelIOError(
-                f"split feature {feature} out of range for {n_features} feature(s)"
-            )
-        return TreeNode(
-            feature=feature,
-            threshold=float(obj["threshold"]),
-            gain=float(obj["gain"]),
-            cover=float(obj["cover"]),
-            left=_node_from_dict(obj["left"], n_features),
-            right=_node_from_dict(obj["right"], n_features),
-        )
-    except KeyError as exc:
-        raise ModelIOError(f"tree node missing field {exc}") from exc
+def _tree_from_dict(obj, n_features: int) -> Tree:
+    """Number a nested JSON tree in pre-order, left child first, from a stack."""
+    tree = Tree()
+    stack = [(obj, -1)]
+    while stack:
+        obj, parent = stack.pop()
+        if not isinstance(obj, dict):
+            raise ModelIOError("tree node must be an object")
+        try:
+            if "weight" in obj:
+                _add_node(tree, parent, value=float(obj["weight"]))
+                continue
+            feature = int(obj["feature"])
+            if not 0 <= feature < n_features:
+                raise ModelIOError(
+                    f"split feature {feature} out of range for {n_features} feature(s)"
+                )
+            split = (float(obj[key]) for key in ("threshold", "gain", "cover"))
+            node = _add_node(tree, parent, feature, *split)
+            stack.append((obj["right"], node))
+            stack.append((obj["left"], -1))
+        except KeyError as exc:
+            raise ModelIOError(f"tree node missing field {exc}") from exc
+    return tree
 
 
 def save_model(model: TreeEnsemble, path):
@@ -303,7 +287,7 @@ def save_model(model: TreeEnsemble, path):
             "base_score": model.base_score,
             "eta": model.eta,
             "feature_names": list(model.feature_names),
-            "trees": [_node_to_dict(root) for root in model.trees],
+            "trees": [_tree_to_dict(tree) for tree in model.trees],
         },
     )
 
@@ -316,7 +300,7 @@ def load_model(path) -> TreeEnsemble:
             base_score=float(payload["base_score"]),
             eta=float(payload["eta"]),
             feature_names=feature_names,
-            trees=[_node_from_dict(t, len(feature_names)) for t in payload["trees"]],
+            trees=[_tree_from_dict(t, len(feature_names)) for t in payload["trees"]],
         )
     except (KeyError, TypeError) as exc:
         raise ModelIOError(f"{path}: malformed model payload ({exc})") from exc

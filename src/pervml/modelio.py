@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 FORMAT_VERSION = 1
 
@@ -18,13 +19,33 @@ def write_model(path, payload: dict):
         fh.write("\n")
 
 
+def _finite(parse):
+    """A JSON number hook that refuses NaN, +-Infinity and values beyond float range."""
+
+    def checked(text: str):
+        value = parse(text)
+        if not abs(value) <= sys.float_info.max:
+            raise ValueError(f"number {text} is not a finite float")
+        return value
+
+    return checked
+
+
+_NUMBER_HOOKS = {
+    "parse_constant": _finite(float),  # NaN, Infinity, -Infinity
+    "parse_float": _finite(float),
+    "parse_int": _finite(int),
+}
+
+
 def read_model(path, expected_type: str) -> dict:
+    """Parse a model file; NaN, Infinity and overflowing numbers are rejected."""
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, **_NUMBER_HOOKS)
     except OSError as exc:
         raise ModelIOError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ModelIOError(f"corrupt model file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ModelIOError(f"corrupt model file {path}: expected an object")

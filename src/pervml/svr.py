@@ -164,10 +164,6 @@ def fit(X, y, params: SvrParams, feature_names=None) -> SvrModel:
     )
 
 
-def predict(model: SvrModel, X) -> np.ndarray:
-    return model.predict(X)
-
-
 def kkt_violation(model: SvrModel, X, y, params: SvrParams | None = None) -> float:
     """Largest violation of the epsilon-optimality conditions on (X, y).
 

@@ -73,13 +73,13 @@ def test_03_split_finder_oracle(rng):
     splits_seen = 0
     for _ in range(200):
         X, g, h, params = random_split_case(rng)
-        root = build_tree(X, g, h, params)
+        t = build_tree(X, g, h, params)
         expected = enumerate_best_split(X, g, h, params)
         if expected is None:
-            assert root.is_leaf
+            assert t.feature == [-1]
             continue
         gain, feature, threshold = expected
-        assert (root.feature, root.threshold, root.gain) == (feature, threshold, gain)
+        assert (t.feature[0], t.threshold[0], t.gain[0]) == (feature, threshold, gain)
         splits_seen += 1
     assert splits_seen > 50
     _pass(3, f"greedy split equals exhaustive enumeration ({splits_seen} splits, exact)")
@@ -93,7 +93,7 @@ def test_04_stump_closed_forms():
     model = gbrt.fit(X, y, stump_params(eta=0.5))
     np.testing.assert_array_equal(model.predict(X), [0.25, 0.75])
     model = gbrt.fit(X, y, stump_params(gamma=0.3))
-    assert model.trees[0].is_leaf
+    assert model.trees[0].feature == [-1]
     np.testing.assert_array_equal(model.predict(X), [0.5, 0.5])
     _pass(4, "stump closed forms hold exactly")
 

@@ -9,7 +9,9 @@ from pervml.analysis import (
     sensitivity_table,
 )
 from pervml.data import Dataset
-from pervml.gbrt import GbrtParams, TreeEnsemble, TreeNode, fit
+from pervml.gbrt import GbrtParams, Tree, TreeEnsemble, fit
+
+from test_gbrt import leaf_tree
 
 
 class TestPearson:
@@ -80,16 +82,17 @@ class TestSensitivityTable:
 
 def stump_ensemble() -> TreeEnsemble:
     """One stump splitting on feature 2 with gain 0.25 over 2 samples."""
-    root = TreeNode(
-        feature=2,
-        threshold=0.5,
-        gain=0.25,
-        cover=2.0,
-        left=TreeNode(weight=-0.5),
-        right=TreeNode(weight=0.5),
+    stump = Tree(
+        feature=[2, -1, -1],
+        threshold=[0.5, 0.0, 0.0],
+        gain=[0.25, 0.0, 0.0],
+        cover=[2.0, 0.0, 0.0],
+        value=[0.0, -0.5, 0.5],
+        left=[1, -1, -1],
+        right=[2, -1, -1],
     )
     return TreeEnsemble(
-        base_score=0.5, eta=1.0, feature_names=("a", "b", "c", "d"), trees=[root]
+        base_score=0.5, eta=1.0, feature_names=("a", "b", "c", "d"), trees=[stump]
     )
 
 
@@ -118,7 +121,7 @@ class TestImportance:
             base_score=0.5,
             eta=1.0,
             feature_names=("a", "b"),
-            trees=[TreeNode(weight=0.1)],
+            trees=[leaf_tree(0.1)],
         )
         report = importance(model)
         assert report.degenerate
@@ -148,10 +151,6 @@ class TestImportance:
             GbrtParams(n_estimators=9, max_depth=3, seed=4),
             feature_names=bundled.feature_names,
         )
-
-        def count_internal(node):
-            return 0 if node.is_leaf else 1 + count_internal(node.left) + count_internal(node.right)
-
-        total = sum(count_internal(root) for root in model.trees)
+        total = sum(f >= 0 for tree in model.trees for f in tree.feature)
         report = importance(model)
         assert report.weight.sum() == total

@@ -133,6 +133,36 @@ class TestEvaluate:
             assert "out of range" in err
             assert "Traceback" not in err
 
+    def _assert_non_finite_rejected(self, tmp_path, capsys, family, edits):
+        """`evaluate --model-file` exits 2, with no traceback, once the first
+        number after `key` in the saved model file is replaced by `literal`."""
+        common = ("--model", family, "--target", "compressive")
+        out = tmp_path / "out"
+        assert run_cli("train", *common, "--out", str(out)) == 0
+        model_file = out / f"model_{family}_compressive.json"
+        saved = model_file.read_text()
+        for key, literal in edits:
+            number = rf'("{key}": \[?\s*)[^,\s\]]+'
+            text = re.sub(number, rf"\g<1>{literal}", saved, count=1)
+            assert text != saved
+            model_file.write_text(text)
+            capsys.readouterr()
+            rc = run_cli(
+                "evaluate", *common, "--model-file", str(model_file), "--out", str(out)
+            )
+            err = capsys.readouterr().err
+            assert rc == 2, (key, literal)
+            assert "not a finite float" in err
+            assert "Traceback" not in err
+
+    def test_non_finite_gbrt_model_exits_2(self, tmp_path, capsys):
+        edits = [("threshold", "NaN"), ("gain", "-Infinity"), ("weight", "1e999")]
+        self._assert_non_finite_rejected(tmp_path, capsys, "gbrt", edits)
+
+    def test_non_finite_svr_model_exits_2(self, tmp_path, capsys):
+        edits = [("bias", "NaN"), ("bias", "-1e999"), ("dual_coefs", "Infinity")]
+        self._assert_non_finite_rejected(tmp_path, capsys, "svr", edits)
+
     def test_csv_round_trips_losslessly(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("evaluate", "--target", "tensile", "--out", str(out)) == 0

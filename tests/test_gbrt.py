@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,19 +8,69 @@ from pervml import gbrt
 from pervml._kernels import best_split_kernel
 from pervml.gbrt import (
     GbrtParams,
-    GradStats,
+    Tree,
     TreeEnsemble,
     build_tree,
     grad_hess,
     leaf_weight,
     predict_tree,
-    split_gain,
 )
 from pervml.metrics import mse
 from pervml.modelio import ModelIOError
 
 STUMP_X = np.array([[0.0], [1.0]])
 STUMP_Y = np.array([0.0, 1.0])
+
+
+@dataclass(frozen=True)
+class GradStats:
+    """Accumulated first/second derivatives over a set of samples."""
+
+    grad_sum: float
+    hess_sum: float
+    count: int
+
+
+def split_gain(left: GradStats, right: GradStats, params: GbrtParams) -> float:
+    """Regularized loss reduction of a split, minus the per-leaf penalty gamma.
+
+    Uses the same expression, in the same operation order, as the split
+    kernel so that enumerating candidates through this function reproduces
+    the kernel's scores exactly.
+    """
+    gl, hl = left.grad_sum, left.hess_sum
+    gr, hr = right.grad_sum, right.hess_sum
+    alpha = params.reg_alpha
+    lam = params.reg_lambda
+    tl = max(abs(gl) - alpha, 0.0)
+    tr = max(abs(gr) - alpha, 0.0)
+    tp = max(abs(gl + gr) - alpha, 0.0)
+    return (
+        0.5 * (tl * tl / (hl + lam) + tr * tr / (hr + lam) - tp * tp / (hl + hr + lam))
+        - params.gamma
+    )
+
+
+def leaf_tree(value: float) -> Tree:
+    """A tree that is one leaf."""
+    return Tree(
+        feature=[-1],
+        threshold=[0.0],
+        gain=[0.0],
+        cover=[0.0],
+        value=[value],
+        left=[-1],
+        right=[-1],
+    )
+
+
+def node_depths(tree: Tree) -> list[int]:
+    """Depth of every node; one forward pass works because children follow parents."""
+    depth = [0] * len(tree.feature)
+    for i, feature in enumerate(tree.feature):
+        if feature >= 0:
+            depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+    return depth
 
 
 def stump_params(**overrides):
@@ -56,20 +107,20 @@ class TestGradHess:
 class TestLeafWeight:
     def test_plain(self):
         p = GbrtParams(reg_lambda=0.0, reg_alpha=0.0)
-        assert leaf_weight(GradStats(0.5, 1.0, 1), p) == -0.5
+        assert leaf_weight(0.5, 1.0, p) == -0.5
 
     def test_soft_threshold(self):
         p = GbrtParams(reg_lambda=0.0, reg_alpha=0.2)
-        assert leaf_weight(GradStats(0.5, 1.0, 1), p) == pytest.approx(-0.3)
-        assert leaf_weight(GradStats(-0.5, 1.0, 1), p) == pytest.approx(0.3)
-        assert leaf_weight(GradStats(0.1, 1.0, 1), p) == 0.0
+        assert leaf_weight(0.5, 1.0, p) == pytest.approx(-0.3)
+        assert leaf_weight(-0.5, 1.0, p) == pytest.approx(0.3)
+        assert leaf_weight(0.1, 1.0, p) == 0.0
 
     def test_equals_mean_residual(self, rng):
         y = rng.uniform(size=6)
         y_hat = rng.uniform(size=6)
         g, h = grad_hess(y, y_hat)
         p = GbrtParams(reg_lambda=0.0, reg_alpha=0.0)
-        w = leaf_weight(GradStats.from_arrays(g, h), p)
+        w = leaf_weight(float(g.sum()), float(h.sum()), p)
         assert w == pytest.approx((y - y_hat).mean())
 
 
@@ -93,37 +144,31 @@ class TestSplitGain:
 class TestBuildTree:
     def test_stump_split(self):
         g, h = grad_hess(STUMP_Y, np.array([0.5, 0.5]))
-        root = build_tree(STUMP_X, g, h, stump_params())
-        assert root.feature == 0
-        assert root.threshold == 0.5
-        assert root.gain == pytest.approx(0.25)
-        assert root.cover == 2.0
-        assert root.left.weight == -0.5
-        assert root.right.weight == 0.5
+        tree = build_tree(STUMP_X, g, h, stump_params())
+        assert tree.feature == [0, -1, -1]
+        assert tree.threshold[0] == 0.5
+        assert tree.gain[0] == pytest.approx(0.25)
+        assert tree.cover[0] == 2.0
+        assert (tree.left[0], tree.right[0]) == (1, 2)
+        assert tree.value == [0.0, -0.5, 0.5]
 
     def test_gamma_suppresses_split(self):
         g, h = grad_hess(STUMP_Y, np.array([0.5, 0.5]))
-        root = build_tree(STUMP_X, g, h, stump_params(gamma=0.3))
-        assert root.is_leaf
-        assert root.weight == 0.0
+        tree = build_tree(STUMP_X, g, h, stump_params(gamma=0.3))
+        assert tree.feature == [-1]
+        assert tree.value == [0.0]
 
     def test_depth_zero_is_leaf(self, rng):
         X = rng.uniform(size=(10, 3))
         g, h = grad_hess(rng.uniform(size=10), np.zeros(10))
-        root = build_tree(X, g, h, stump_params(max_depth=0))
-        assert root.is_leaf
+        tree = build_tree(X, g, h, stump_params(max_depth=0))
+        assert tree.feature == [-1]
 
     def test_depth_bound_holds(self, rng):
         X = rng.uniform(size=(30, 3))
         g, h = grad_hess(rng.uniform(size=30), np.zeros(30))
-        root = build_tree(X, g, h, stump_params(max_depth=3))
-
-        def max_depth(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(max_depth(node.left), max_depth(node.right))
-
-        assert max_depth(root) <= 3
+        tree = build_tree(X, g, h, stump_params(max_depth=3))
+        assert max(node_depths(tree)) <= 3
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -181,16 +226,15 @@ class TestGreedyMatchesEnumeration:
         checked_splits = 0
         for _ in range(200):
             X, g, h, params = random_split_case(rng)
-            root = build_tree(X, g, h, params)
+            tree = build_tree(X, g, h, params)
             expected = enumerate_best_split(X, g, h, params)
             if expected is None:
-                assert root.is_leaf
+                assert tree.feature == [-1]
                 continue
             gain, feature, threshold = expected
-            assert not root.is_leaf
-            assert root.feature == feature
-            assert root.threshold == threshold
-            assert root.gain == gain
+            assert tree.feature[0] == feature
+            assert tree.threshold[0] == threshold
+            assert tree.gain[0] == gain
             checked_splits += 1
         assert checked_splits > 50  # the generator must exercise real splits
 
@@ -229,8 +273,8 @@ class TestFit:
         model = gbrt.fit(train.X, train.y, params)
         preds = np.full(train.y.shape, params.base_score)
         last = mse(train.y, preds)
-        for root in model.trees:
-            preds = preds + predict_tree(root, train.X)
+        for tree in model.trees:
+            preds = preds + predict_tree(tree, train.X)
             current = mse(train.y, preds)
             assert current <= last + 1e-12
             last = current
@@ -239,9 +283,7 @@ class TestFit:
         X = rng.uniform(size=(6, 2))
         model = gbrt.fit(X, rng.uniform(size=6), stump_params(n_estimators=3))
         before = model.predict(X)
-        from pervml.gbrt import TreeNode
-
-        model.trees.append(TreeNode(weight=0.0))
+        model.trees.append(leaf_tree(0.0))
         np.testing.assert_array_equal(model.predict(X), before)
 
     def test_deterministic_under_seed(self, train_slices, tmp_path):
@@ -282,6 +324,46 @@ class TestPredict:
         model = gbrt.fit(STUMP_X, STUMP_Y, stump_params())
         with pytest.raises(ValueError, match="feature column"):
             model.predict(np.zeros((2, 3)))
+
+
+class TestTreeTable:
+    @pytest.fixture(scope="class")
+    def model(self, train_slices):
+        train = train_slices["compressive"]
+        params = GbrtParams(
+            n_estimators=30, max_depth=5, subsample=0.7, colsample_bytree=0.7, seed=11
+        )
+        return gbrt.fit(train.X, train.y, params)
+
+    def test_children_follow_parents_once(self, model):
+        for tree in model.trees:
+            n = len(tree.feature)
+            fields = (tree.threshold, tree.gain, tree.cover, tree.value, tree.left)
+            assert all(len(f) == n for f in fields + (tree.right,))
+            parents = [0] * n
+            for i, feature in enumerate(tree.feature):
+                if feature < 0:
+                    assert (tree.left[i], tree.right[i]) == (-1, -1)
+                    continue
+                assert tree.left[i] == i + 1  # pre-order, left child first
+                assert i < tree.left[i] < tree.right[i] < n
+                parents[tree.left[i]] += 1
+                parents[tree.right[i]] += 1
+            assert parents == [0] + [1] * (n - 1)
+
+    def test_one_more_leaf_than_internal_nodes(self, model):
+        for tree in model.trees:
+            leaves = tree.feature.count(-1)
+            assert leaves == len(tree.feature) - leaves + 1
+
+    def test_save_load_save_identical(self, model, tmp_path):
+        assert max(max(node_depths(tree)) for tree in model.trees) >= 2
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        gbrt.save_model(model, first)
+        loaded = gbrt.load_model(first)
+        gbrt.save_model(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert loaded.trees == model.trees
 
 
 class TestPersistence:
