@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .modelio import ModelIOError, read_model, write_model
+from .modelio import ModelIOError, integer_field, names_field, read_model, write_model
 
 
 @dataclass(frozen=True)
@@ -105,15 +105,28 @@ class TreeEnsemble:
         return len(self.feature_names)
 
     def predict(self, X) -> np.ndarray:
+        """base_score plus every tree: the last stage of `staged_predict`."""
+        for out in self.staged_predict(X):
+            pass
+        return out
+
+    def staged_predict(self, X):
+        """Predictions after 0, 1, ..., len(trees) trees, each a new array.
+
+        The first k trees of an ensemble are the ensemble `fit` grows with
+        n_estimators = k, so stage k is that smaller model's prediction,
+        bit for bit; `predict` is the last stage.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(
                 f"expected {self.n_features} feature column(s), got shape {X.shape}"
             )
         out = np.full(X.shape[0], self.base_score, dtype=float)
+        yield out
         for tree in self.trees:
-            out += predict_tree(tree, X)
-        return out
+            out = out + predict_tree(tree, X)
+            yield out
 
 
 def grad_hess(y, y_hat) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +278,7 @@ def _tree_from_dict(obj, n_features: int) -> Tree:
             if "weight" in obj:
                 _add_node(tree, parent, value=float(obj["weight"]))
                 continue
-            feature = int(obj["feature"])
+            feature = integer_field(obj["feature"], "split feature")
             if not 0 <= feature < n_features:
                 raise ModelIOError(
                     f"split feature {feature} out of range for {n_features} feature(s)"
@@ -295,7 +308,7 @@ def save_model(model: TreeEnsemble, path):
 def load_model(path) -> TreeEnsemble:
     payload = read_model(path, expected_type="gbrt")
     try:
-        feature_names = tuple(payload["feature_names"])
+        feature_names = names_field(payload["feature_names"], "feature_names")
         return TreeEnsemble(
             base_score=float(payload["base_score"]),
             eta=float(payload["eta"]),

@@ -38,6 +38,24 @@ _NUMBER_HOOKS = {
 }
 
 
+def integer_field(value, name: str) -> int:
+    """An integer field of a model file: an int or an integral float, never a bool."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ModelIOError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def names_field(value, name: str) -> tuple[str, ...]:
+    """A list-of-strings field of a model file, as a tuple."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ModelIOError(f"{name} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def read_model(path, expected_type: str) -> dict:
     """Parse a model file; NaN, Infinity and overflowing numbers are rejected."""
     try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .modelio import ModelIOError, read_model, write_model
+from .modelio import ModelIOError, integer_field, read_model, write_model
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
 
@@ -236,12 +236,12 @@ def load_model(path) -> SvrModel:
             epsilon=float(kernel["epsilon"]),
             kernel=str(kernel["kind"]),
             gamma=float(kernel["gamma"]),
-            degree=int(kernel["degree"]),
+            degree=integer_field(kernel["degree"], "degree"),
             coef0=float(kernel["coef0"]),
             tol=float(kernel["tol"]),
-            max_passes=int(kernel["max_passes"]),
+            max_passes=integer_field(kernel["max_passes"], "max_passes"),
         )
-        n_features = int(payload["n_features"])
+        n_features = integer_field(payload["n_features"], "n_features")
         sv = np.array(payload["support_vectors"], dtype=float).reshape(-1, n_features)
         dual_coefs = np.array(payload["dual_coefs"], dtype=float)
         if dual_coefs.shape != (len(sv),):
@@ -257,7 +257,7 @@ def load_model(path) -> SvrModel:
             params=params,
             n_features=n_features,
             converged=bool(solver.get("converged", True)),
-            n_iter=int(solver.get("n_iter", 0)),
+            n_iter=integer_field(solver.get("n_iter", 0), "n_iter"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ModelIOError):

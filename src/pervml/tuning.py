@@ -3,6 +3,9 @@
 The search sees only the training slice; folds are drawn once per search
 from a seeded shuffle and shared by every combination. Ties on mean MSE are
 broken by grid iteration order (axes iterated in declaration order).
+Combinations that differ only in a family's staged axis (gbrt's
+`n_estimators`) share one fit per fold, and each is scored from the staged
+prediction at its own value, which equals the prediction of its own fit.
 """
 
 from __future__ import annotations
@@ -22,11 +25,14 @@ from .metrics import mse
 @dataclass(frozen=True)
 class ModelFamily:
     """A model family: the module whose fit / save_model / load_model serve
-    it, its params class, and its shipped default search space."""
+    it, its params class, its shipped default search space, and its staged
+    axis, if any: the parameter whose value k gives the model that the
+    fitted model's `staged_predict` yields at stage k."""
 
     module: ModuleType
     params: type
     default_axes: dict
+    staged_axis: str | None = None
 
 
 # The one place that maps a family name to its code.
@@ -44,6 +50,7 @@ FAMILIES = {
             "subsample": (0.7, 1.0),
             "colsample_bytree": (0.7, 1.0),
         },
+        staged_axis="n_estimators",
     ),
     "svr": ModelFamily(
         svr,
@@ -166,31 +173,29 @@ def grid_search(
 ) -> tuple[dict, list[CvResult]]:
     """Score every combination by mean held-out-fold MSE; lowest mean wins.
 
-    A combination whose fit raises is recorded with its error and ranked
-    last; the search continues. Everything runs in normalized space.
+    A combination whose params or fit raise is recorded with its error and
+    ranked last; the search continues. Everything runs in normalized space.
+    Combinations whose params differ only in the family's staged axis are
+    scored together (`_score_group`); results keep grid iteration order.
     """
-    n = train.y.shape[0]
-    folds = kfold_indices(n, k, seed)
-    names = _feature_names(train.X)
-    results = []
-    for combination in grid.combinations():
-        result = CvResult(combination=dict(combination))
+    folds = kfold_indices(train.y.shape[0], k, seed)
+    axis = _family(grid.family).staged_axis
+    results = [CvResult(combination=dict(c)) for c in grid.combinations()]
+    groups: dict = {}
+    for i, result in enumerate(results):
         try:
-            params = make_params(grid.family, combination, seed=seed)
-            fold_scores = []
-            for fold in folds:
-                holdout = np.zeros(n, dtype=bool)
-                holdout[fold] = True
-                model = fit_model(
-                    grid.family, train.X[~holdout], train.y[~holdout], params, names
-                )
-                fold_scores.append(mse(train.y[holdout], model.predict(train.X[holdout])))
-            result.fold_mse = fold_scores
-            result.mean_mse = float(np.mean(fold_scores))
+            params = make_params(grid.family, result.combination, seed=seed)
         except Exception as exc:  # noqa: BLE001 - search must survive bad combos
-            result.error = f"{type(exc).__name__}: {exc}"
-            result.mean_mse = float("inf")
-        results.append(result)
+            _record_error(result, exc)
+            continue
+        # Params equal but for an integer staged value share a group; repr
+        # tells 1 from 1.0 and 0.0 from -0.0, so shared fits are exact.
+        key = i
+        if axis is not None and isinstance(getattr(params, axis), int):
+            key = tuple((name, repr(v)) for name, v in vars(params).items() if name != axis)
+        groups.setdefault(key, []).append((result, params))
+    for members in groups.values():
+        _score_group(train, grid.family, folds, members)
 
     order = sorted(range(len(results)), key=lambda i: (results[i].mean_mse, i))
     for rank, idx in enumerate(order, start=1):
@@ -199,6 +204,47 @@ def grid_search(
     if best.error is not None:
         raise RuntimeError(f"every grid combination failed; first error: {best.error}")
     return dict(best.combination), results
+
+
+def _record_error(result: CvResult, exc: Exception):
+    result.error = f"{type(exc).__name__}: {exc}"
+    result.mean_mse = float("inf")
+
+
+def _score_group(train: TargetSlice, family: str, folds, members):
+    """Cross-validate (result, params) pairs that differ only in the staged axis.
+
+    Each fold makes one fit, with the members' largest value k of the axis,
+    and scores each member from `staged_predict` at its own value. Stage k of
+    that fit is the prediction of a fit with value k, bit for bit, so every
+    score equals that of a separate fit. A family without a staged axis has
+    one member per group, scored by `predict`. An exception in a fold fails
+    every member of the group.
+    """
+    axis = _family(family).staged_axis
+    stages = [getattr(params, axis) if axis else 0 for _, params in members]
+    params = members[stages.index(max(stages))][1]
+    n = train.y.shape[0]
+    names = _feature_names(train.X)
+    scores: list[list[float]] = [[] for _ in members]
+    try:
+        for fold in folds:
+            holdout = np.zeros(n, dtype=bool)
+            holdout[fold] = True
+            model = fit_model(family, train.X[~holdout], train.y[~holdout], params, names)
+            X_hold, y_hold = train.X[holdout], train.y[holdout]
+            predictions = model.staged_predict(X_hold) if axis else [model.predict(X_hold)]
+            for stage, prediction in enumerate(predictions):
+                for member, member_stage in enumerate(stages):
+                    if member_stage == stage:
+                        scores[member].append(mse(y_hold, prediction))
+    except Exception as exc:  # noqa: BLE001 - search must survive bad combos
+        for result, _ in members:
+            _record_error(result, exc)
+        return
+    for (result, _), fold_scores in zip(members, scores):
+        result.fold_mse = fold_scores
+        result.mean_mse = float(np.mean(fold_scores))
 
 
 def refit_best(train: TargetSlice, family: str, combination: dict, seed: int = 42):

@@ -163,6 +163,34 @@ class TestEvaluate:
         edits = [("bias", "NaN"), ("bias", "-1e999"), ("dual_coefs", "Infinity")]
         self._assert_non_finite_rejected(tmp_path, capsys, "svr", edits)
 
+    @pytest.mark.parametrize(
+        "family, edit, message",
+        [
+            ("gbrt", lambda p: p["trees"][0].update(feature=1.9), "must be an integer"),
+            ("gbrt", lambda p: p.update(feature_names="abcd"), "must be a list of strings"),
+            ("svr", lambda p: p["kernel"].update(degree=True), "must be an integer"),
+            ("svr", lambda p: p["kernel"].update(max_passes=10000.5), "must be an integer"),
+            ("svr", lambda p: p.update(n_features=4.5), "must be an integer"),
+        ],
+        ids=["feature", "feature_names", "degree", "max_passes", "n_features"],
+    )
+    def test_mistyped_model_field_exits_2(self, tmp_path, capsys, family, edit, message):
+        """A model file whose integer field holds a fraction or a bool, or whose
+        feature names are not a list of strings, exits 2 without a traceback."""
+        common = ("--model", family, "--target", "compressive")
+        out = tmp_path / "out"
+        assert run_cli("train", *common, "--out", str(out)) == 0
+        model_file = out / f"model_{family}_compressive.json"
+        payload = json.loads(model_file.read_text())
+        edit(payload)
+        model_file.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = run_cli("evaluate", *common, "--model-file", str(model_file), "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err
+        assert "Traceback" not in err
+
     def test_csv_round_trips_losslessly(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("evaluate", "--target", "tensile", "--out", str(out)) == 0

@@ -1,8 +1,10 @@
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pervml import gbrt
 from pervml._kernels import best_split_kernel
@@ -305,6 +307,38 @@ class TestFit:
         y = rng.uniform(size=10)
         model = gbrt.fit(X, y, stump_params(n_estimators=5, subsample=0.5, eta=0.3))
         assert not np.allclose(model.predict(X), 0.5)
+
+
+unit_interval = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+class TestStagedPrefix:
+    """The first k trees of an m-tree fit are the k-tree fit, which is what
+    lets grid search score every n_estimators value from one fit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 12).flatmap(lambda m: st.tuples(st.integers(0, m), st.just(m))),
+        unit_interval,
+        unit_interval,
+        st.integers(0, 2**32 - 1),
+    )
+    def test_k_tree_fit_is_prefix_of_m_tree_fit(self, k_m, subsample, colsample, seed):
+        k, m = k_m
+        data = np.random.default_rng(seed)
+        X, y = data.uniform(size=(12, 3)), data.uniform(size=12)
+        X_new = data.uniform(size=(5, 3))
+        params = GbrtParams(
+            n_estimators=m, max_depth=3, subsample=subsample,
+            colsample_bytree=colsample, seed=seed,
+        )
+        big = gbrt.fit(X, y, params)
+        small = gbrt.fit(X, y, replace(params, n_estimators=k))
+        assert small.trees == big.trees[:k]
+        stages = list(big.staged_predict(X_new))
+        assert len(stages) == m + 1
+        assert (small.predict(X_new) == stages[k]).all()
+        assert (big.predict(X_new) == stages[m]).all()
 
 
 class TestPredict:

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from pervml import gbrt
+from pervml import gbrt, svr
+from pervml.data import FEATURE_COLUMNS
+from pervml.metrics import mse
 from pervml.tuning import (
+    CvResult,
     HyperGrid,
     default_grid,
+    fit_model,
     grid_search,
     kfold_indices,
     make_params,
@@ -12,6 +16,49 @@ from pervml.tuning import (
     read_params_file,
     refit_best,
 )
+
+
+def unshared_grid_search(train, grid, k=5, seed=42):
+    """Reference grid search: one fit per combination and fold, nothing shared."""
+    n = train.y.shape[0]
+    folds = kfold_indices(n, k, seed)
+    names = FEATURE_COLUMNS if train.X.shape[1] == len(FEATURE_COLUMNS) else None
+    results = []
+    for combination in grid.combinations():
+        result = CvResult(combination=dict(combination))
+        try:
+            params = make_params(grid.family, combination, seed=seed)
+            fold_scores = []
+            for fold in folds:
+                holdout = np.zeros(n, dtype=bool)
+                holdout[fold] = True
+                model = fit_model(
+                    grid.family, train.X[~holdout], train.y[~holdout], params, names
+                )
+                fold_scores.append(mse(train.y[holdout], model.predict(train.X[holdout])))
+            result.fold_mse = fold_scores
+            result.mean_mse = float(np.mean(fold_scores))
+        except Exception as exc:  # noqa: BLE001 - search must survive bad combos
+            result.error = f"{type(exc).__name__}: {exc}"
+            result.mean_mse = float("inf")
+        results.append(result)
+    order = sorted(range(len(results)), key=lambda i: (results[i].mean_mse, i))
+    for rank, idx in enumerate(order, start=1):
+        results[idx].rank = rank
+    return results
+
+
+def count_fits(monkeypatch, module):
+    """Count calls to `module.fit` from here on; returns a one-item list."""
+    calls = [0]
+    real_fit = module.fit
+
+    def counting_fit(*args, **kwargs):
+        calls[0] += 1
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(module, "fit", counting_fit)
+    return calls
 
 
 class TestKfold:
@@ -136,6 +183,64 @@ class TestGridSearch:
         best_row = [r for r in results if r.rank == 1][0]
         assert best_row.combination == best
         assert all(best_row.mean_mse <= r.mean_mse for r in results)
+
+
+ORACLE_GRIDS = {
+    "n_estimators_not_first": (
+        "gbrt",
+        {"eta": (0.3, 0.95), "n_estimators": (3, 7, 5), "subsample": (0.7, 1.0)},
+    ),
+    "duplicate_values": (
+        "gbrt",
+        {"n_estimators": (18, 18, 6), "max_depth": (2,), "colsample_bytree": (0.7,)},
+    ),
+    "zero_trees": ("gbrt", {"n_estimators": (0, 4), "max_depth": (3,)}),
+    "invalid_value_in_group": (
+        "gbrt",
+        {"max_depth": (2, 3), "n_estimators": (5, -1, 2), "subsample": (0.7,)},
+    ),
+    "non_integer_value": ("gbrt", {"n_estimators": (4, 2.5, 3.0), "max_depth": (2,)}),
+    "no_n_estimators_axis": ("gbrt", {"max_depth": (1, 2), "eta": (0.3,)}),
+    "svr": (
+        "svr",
+        {"C": (1.0, -1.0, 10.0), "epsilon": (0.1,), "kernel": ("rbf",), "gamma": (0.11,)},
+    ),
+}
+
+
+class TestSharedFitsMatchUnshared:
+    @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
+    def test_results_identical(self, train_slices, name):
+        family, axes = ORACLE_GRIDS[name]
+        grid = HyperGrid(family=family, axes=axes)
+        train = train_slices["compressive"]
+        _, results = grid_search(train, grid, k=5, seed=42)
+        expected = unshared_grid_search(train, grid, k=5, seed=42)
+        assert len(results) == len(expected) == grid.n_combinations
+        for got, want in zip(results, expected):
+            assert got.combination == want.combination
+            assert got.fold_mse == want.fold_mse
+            assert got.mean_mse == want.mean_mse
+            assert got.rank == want.rank
+            assert got.error == want.error
+
+    def test_one_gbrt_fit_per_group_and_fold(self, train_slices, monkeypatch):
+        grid = HyperGrid(
+            family="gbrt",
+            axes={"n_estimators": (18, 25, 6, 10), "eta": (0.3, 0.95), "max_depth": (2,)},
+        )
+        calls = count_fits(monkeypatch, gbrt)
+        grid_search(train_slices["density"], grid, k=5, seed=42)
+        assert calls[0] == 2 * 5  # not 8 combinations x 5 folds
+
+    def test_one_svr_fit_per_combination_and_fold(self, train_slices, monkeypatch):
+        grid = HyperGrid(
+            family="svr",
+            axes={"C": (1.0, 1.0, 10.0), "epsilon": (0.1,), "kernel": ("rbf",)},
+        )
+        calls = count_fits(monkeypatch, svr)
+        grid_search(train_slices["density"], grid, k=5, seed=42)
+        assert calls[0] == 3 * 5
 
 
 class TestRefit:
