@@ -14,11 +14,12 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
-def best_split_kernel(xt, g, h, reg_lambda, reg_alpha, gamma):
+def best_split_kernel(xt, g, reg_lambda, reg_alpha, gamma):
     """Scan every (column, midpoint) candidate and return the best split.
 
     xt: (n_cols, n_rows) array, one candidate feature per row, C order.
-    g, h: per-sample gradient / hessian.
+    g: per-sample gradient. Under squared error every hessian is 1, so a
+    side's hessian sum in the second-order gain is its row count.
     Returns (gain, column index into xt, threshold); column is -1 when no
     candidate exists (all columns constant). Ties keep the first candidate
     in (column, ascending threshold) order, so callers must pass columns in
@@ -26,10 +27,9 @@ def best_split_kernel(xt, g, h, reg_lambda, reg_alpha, gamma):
     """
     n_cols, n = xt.shape
     total_g = 0.0
-    total_h = 0.0
     for i in range(n):
         total_g += g[i]
-        total_h += h[i]
+    total_h = float(n)
 
     best_gain = -np.inf
     best_col = -1
@@ -38,15 +38,14 @@ def best_split_kernel(xt, g, h, reg_lambda, reg_alpha, gamma):
         col = xt[j]
         order = np.argsort(col, kind="mergesort")
         gl = 0.0
-        hl = 0.0
         for pos in range(n - 1):
             idx = order[pos]
             gl += g[idx]
-            hl += h[idx]
             v = col[idx]
             v_next = col[order[pos + 1]]
             if v == v_next:
                 continue
+            hl = pos + 1.0
             gr = total_g - gl
             hr = total_h - hl
             tl = max(abs(gl) - reg_alpha, 0.0)

@@ -5,10 +5,11 @@ distinct values of every candidate column is scored, and the split with the
 largest regularized loss reduction wins. Leaf values come from the closed
 form -soft_threshold(G, alpha) / (H + lambda); a split is kept only when its
 gain (which already subtracts the per-leaf penalty gamma) is positive.
-Squared-error loss throughout: gradient y_hat - y, hessian 1.
+Squared-error loss throughout: gradient y_hat - y and hessian 1, so a
+node's hessian sum H is its row count and no hessian array is kept.
 
 Each tree is one node table (`Tree`): parallel lists `feature`, `threshold`,
-`gain`, `cover` (hessian sum), `value`, `left` and `right`, numbered in
+`gain`, `cover` (row count), `value`, `left` and `right`, numbered in
 depth-first pre-order with the left child first. The root is node 0, an
 internal node's left child is the next node and its right child follows the
 left subtree, so every child's number is greater than its parent's. A leaf
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .modelio import ModelIOError, integer_field, names_field, read_model, write_model
+from .modelio import ModelIOError, float_field, integer_field, names_field
+from .modelio import read_model, write_model
 
 
 @dataclass(frozen=True)
@@ -129,25 +131,16 @@ class TreeEnsemble:
             yield out
 
 
-def grad_hess(y, y_hat) -> tuple[np.ndarray, np.ndarray]:
-    """Squared-error derivatives: g = y_hat - y, h = 1."""
-    y = np.asarray(y, dtype=float)
-    y_hat = np.asarray(y_hat, dtype=float)
-    if y.shape != y_hat.shape:
-        raise ValueError(f"length mismatch: {y.shape} vs {y_hat.shape}")
-    return y_hat - y, np.ones_like(y)
-
-
 def _soft_threshold(value: float, alpha: float) -> float:
     return math.copysign(max(abs(value) - alpha, 0.0), value)
 
 
-def leaf_weight(grad_sum: float, hess_sum: float, params: GbrtParams) -> float:
+def leaf_weight(grad_sum: float, count: float, params: GbrtParams) -> float:
     """Optimal leaf value under the L1/L2-regularized second-order objective."""
-    return -_soft_threshold(grad_sum, params.reg_alpha) / (hess_sum + params.reg_lambda)
+    return -_soft_threshold(grad_sum, params.reg_alpha) / (count + params.reg_lambda)
 
 
-def build_tree(X, g, h, params: GbrtParams, rng=None) -> Tree:
+def build_tree(X, g, params: GbrtParams, rng=None) -> Tree:
     """Grow one tree by exact greedy search, depth first from an explicit stack.
 
     When colsample_bytree < 1 and an rng is given, the tree sees only a
@@ -156,11 +149,10 @@ def build_tree(X, g, h, params: GbrtParams, rng=None) -> Tree:
     """
     X = np.asarray(X, dtype=float)
     g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("need at least one sample")
-    if not (X.shape[0] == g.shape[0] == h.shape[0]):
-        raise ValueError("X, g, h must agree on sample count")
+    if X.shape[0] != g.shape[0]:
+        raise ValueError("X and g must agree on sample count")
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
     d = X.shape[1]
@@ -171,28 +163,28 @@ def build_tree(X, g, h, params: GbrtParams, rng=None) -> Tree:
         columns = np.arange(d)
 
     tree = Tree()
-    # (rows, gradients, hessians, depth, parent if this is a right child else -1);
+    # (rows, gradients, depth, parent if this is a right child else -1);
     # the left child is pushed last so it is numbered next (pre-order).
-    stack = [(X, g, h, 0, -1)]
+    stack = [(X, g, 0, -1)]
     while stack:
-        X, g, h, depth, parent = stack.pop()
+        X, g, depth, parent = stack.pop()
         gain, col_local = 0.0, -1
         if depth < params.max_depth and X.shape[0] >= 2:
             xt = np.ascontiguousarray(X[:, columns].T)
             gain, col_local, threshold = _kernels.best_split_kernel(
-                xt, g, h, params.reg_lambda, params.reg_alpha, params.gamma
+                xt, g, params.reg_lambda, params.reg_alpha, params.gamma
             )
         if col_local < 0 or gain <= 0.0:
-            value = leaf_weight(float(g.sum()), float(h.sum()), params)
+            value = leaf_weight(float(g.sum()), float(len(g)), params)
             _add_node(tree, parent, value=value)
             continue
         feature = int(columns[col_local])
         node = _add_node(
-            tree, parent, feature, float(threshold), float(gain), float(h.sum())
+            tree, parent, feature, float(threshold), float(gain), float(len(g))
         )
         mask = X[:, feature] <= threshold
-        stack.append((X[~mask], g[~mask], h[~mask], depth + 1, node))
-        stack.append((X[mask], g[mask], h[mask], depth + 1, -1))
+        stack.append((X[~mask], g[~mask], depth + 1, node))
+        stack.append((X[mask], g[mask], depth + 1, -1))
     return tree
 
 
@@ -235,13 +227,13 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
     )
     preds = np.full(n, params.base_score, dtype=float)
     for _ in range(params.n_estimators):
-        g, h = grad_hess(y, preds)
+        g = preds - y
         if params.subsample < 1.0:
             n_rows = math.ceil(params.subsample * n)
             rows = np.sort(rng.choice(n, size=n_rows, replace=False))
         else:
             rows = np.arange(n)
-        tree = build_tree(X[rows], g[rows], h[rows], params, rng)
+        tree = build_tree(X[rows], g[rows], params, rng)
         tree.value = [v * params.eta for v in tree.value]
         ensemble.trees.append(tree)
         preds += predict_tree(tree, X)
@@ -276,14 +268,14 @@ def _tree_from_dict(obj, n_features: int) -> Tree:
             raise ModelIOError("tree node must be an object")
         try:
             if "weight" in obj:
-                _add_node(tree, parent, value=float(obj["weight"]))
+                _add_node(tree, parent, value=float_field(obj["weight"], "weight"))
                 continue
             feature = integer_field(obj["feature"], "split feature")
             if not 0 <= feature < n_features:
                 raise ModelIOError(
                     f"split feature {feature} out of range for {n_features} feature(s)"
                 )
-            split = (float(obj[key]) for key in ("threshold", "gain", "cover"))
+            split = (float_field(obj[key], key) for key in ("threshold", "gain", "cover"))
             node = _add_node(tree, parent, feature, *split)
             stack.append((obj["right"], node))
             stack.append((obj["left"], -1))
@@ -310,8 +302,8 @@ def load_model(path) -> TreeEnsemble:
     try:
         feature_names = names_field(payload["feature_names"], "feature_names")
         return TreeEnsemble(
-            base_score=float(payload["base_score"]),
-            eta=float(payload["eta"]),
+            base_score=float_field(payload["base_score"], "base_score"),
+            eta=float_field(payload["eta"], "eta"),
             feature_names=feature_names,
             trees=[_tree_from_dict(t, len(feature_names)) for t in payload["trees"]],
         )

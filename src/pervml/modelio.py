@@ -49,6 +49,20 @@ def integer_field(value, name: str) -> int:
     return int(value)
 
 
+def float_field(value, name: str) -> float:
+    """A float field of a model file: an int or a float, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelIOError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def float_list(values, name: str) -> list[float]:
+    """A list-of-numbers field of a model file."""
+    if not isinstance(values, list):
+        raise ModelIOError(f"{name} must be a list of numbers, got {values!r}")
+    return [float_field(value, f"{name} entry") for value in values]
+
+
 def names_field(value, name: str) -> tuple[str, ...]:
     """A list-of-strings field of a model file, as a tuple."""
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .modelio import ModelIOError, integer_field, read_model, write_model
+from .modelio import ModelIOError, float_field, float_list, integer_field
+from .modelio import read_model, write_model
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
 
@@ -50,22 +51,6 @@ class SvrParams:
             raise ValueError("tol must be > 0")
         if self.max_passes < 1:
             raise ValueError("max_passes must be >= 1")
-
-
-def kernel_eval(params: SvrParams, x1, x2) -> float:
-    """Kernel value for one pair of feature vectors."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x1.shape != x2.shape:
-        raise ValueError(f"dimension mismatch: {x1.shape} vs {x2.shape}")
-    if params.kernel == "linear":
-        return float(x1 @ x2)
-    if params.kernel == "polynomial":
-        return float((params.gamma * (x1 @ x2) + params.coef0) ** params.degree)
-    if params.kernel == "sigmoid":
-        return float(np.tanh(params.gamma * (x1 @ x2) + params.coef0))
-    d = x1 - x2
-    return float(np.exp(-params.gamma * (d @ d)))
 
 
 def gram_matrix(params: SvrParams, X1, X2) -> np.ndarray:
@@ -232,31 +217,37 @@ def load_model(path) -> SvrModel:
     try:
         kernel = payload["kernel"]
         params = SvrParams(
-            C=float(kernel["C"]),
-            epsilon=float(kernel["epsilon"]),
+            C=float_field(kernel["C"], "C"),
+            epsilon=float_field(kernel["epsilon"], "epsilon"),
             kernel=str(kernel["kind"]),
-            gamma=float(kernel["gamma"]),
+            gamma=float_field(kernel["gamma"], "gamma"),
             degree=integer_field(kernel["degree"], "degree"),
-            coef0=float(kernel["coef0"]),
-            tol=float(kernel["tol"]),
+            coef0=float_field(kernel["coef0"], "coef0"),
+            tol=float_field(kernel["tol"], "tol"),
             max_passes=integer_field(kernel["max_passes"], "max_passes"),
         )
         n_features = integer_field(payload["n_features"], "n_features")
-        sv = np.array(payload["support_vectors"], dtype=float).reshape(-1, n_features)
-        dual_coefs = np.array(payload["dual_coefs"], dtype=float)
+        rows = [float_list(row, "support vector") for row in payload["support_vectors"]]
+        sv = np.array(rows, dtype=float).reshape(-1, n_features)
+        dual_coefs = np.array(float_list(payload["dual_coefs"], "dual_coefs"), dtype=float)
         if dual_coefs.shape != (len(sv),):
             raise ModelIOError(
                 f"{path}: {dual_coefs.size} dual coefficient(s) "
                 f"for {len(sv)} support vector(s)"
             )
         solver = payload.get("solver", {})
+        if not isinstance(solver, dict):
+            raise ModelIOError(f"solver must be an object, got {solver!r}")
+        converged = solver.get("converged", True)
+        if not isinstance(converged, bool):
+            raise ModelIOError(f"converged must be true or false, got {converged!r}")
         return SvrModel(
             support_vectors=sv,
             dual_coefs=dual_coefs,
-            bias=float(payload["bias"]),
+            bias=float_field(payload["bias"], "bias"),
             params=params,
             n_features=n_features,
-            converged=bool(solver.get("converged", True)),
+            converged=converged,
             n_iter=integer_field(solver.get("n_iter", 0), "n_iter"),
         )
     except (KeyError, TypeError, ValueError) as exc:

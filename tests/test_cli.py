@@ -12,6 +12,13 @@ def run_cli(*argv):
     return cli.run(list(argv))
 
 
+def first_leaf(node):
+    """The leftmost leaf of a nested model-file tree."""
+    while "weight" not in node:
+        node = node["left"]
+    return node
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -171,12 +178,26 @@ class TestEvaluate:
             ("svr", lambda p: p["kernel"].update(degree=True), "must be an integer"),
             ("svr", lambda p: p["kernel"].update(max_passes=10000.5), "must be an integer"),
             ("svr", lambda p: p.update(n_features=4.5), "must be an integer"),
+            ("gbrt", lambda p: first_leaf(p["trees"][0]).update(weight=True), "must be a number"),
+            ("svr", lambda p: p.update(bias=False), "must be a number"),
+            (
+                "svr",
+                lambda p: p.update(dual_coefs=[str(c) for c in p["dual_coefs"]]),
+                "must be a number",
+            ),
+            ("svr", lambda p: p["solver"].update(converged="no"), "must be true or false"),
+            ("svr", lambda p: p.update(solver=[]), "must be an object"),
         ],
-        ids=["feature", "feature_names", "degree", "max_passes", "n_features"],
+        ids=[
+            "feature", "feature_names", "degree", "max_passes", "n_features",
+            "weight", "bias", "dual_coefs", "converged", "solver",
+        ],
     )
     def test_mistyped_model_field_exits_2(self, tmp_path, capsys, family, edit, message):
-        """A model file whose integer field holds a fraction or a bool, or whose
-        feature names are not a list of strings, exits 2 without a traceback."""
+        """A model file whose integer field holds a fraction or a bool, whose
+        float field holds a bool or a string, whose `converged` is not a JSON
+        bool, whose `solver` is not an object, or whose feature names are not
+        a list of strings, exits 2 without a traceback."""
         common = ("--model", family, "--target", "compressive")
         out = tmp_path / "out"
         assert run_cli("train", *common, "--out", str(out)) == 0

@@ -13,7 +13,6 @@ from pervml.gbrt import (
     Tree,
     TreeEnsemble,
     build_tree,
-    grad_hess,
     leaf_weight,
     predict_tree,
 )
@@ -89,23 +88,6 @@ def stump_params(**overrides):
     return GbrtParams(**base)
 
 
-class TestGradHess:
-    def test_zero_residual(self):
-        g, h = grad_hess([1.0, 2.0], [1.0, 2.0])
-        np.testing.assert_array_equal(g, [0.0, 0.0])
-        np.testing.assert_array_equal(h, [1.0, 1.0])
-
-    def test_hand_values(self):
-        g, _ = grad_hess([0.0, 1.0], [0.5, 0.5])
-        np.testing.assert_array_equal(g, [0.5, -0.5])
-        g, h = grad_hess([2.0], [0.0])
-        assert g[0] == -2.0 and h[0] == 1.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            grad_hess([1.0], [1.0, 2.0])
-
-
 class TestLeafWeight:
     def test_plain(self):
         p = GbrtParams(reg_lambda=0.0, reg_alpha=0.0)
@@ -120,9 +102,9 @@ class TestLeafWeight:
     def test_equals_mean_residual(self, rng):
         y = rng.uniform(size=6)
         y_hat = rng.uniform(size=6)
-        g, h = grad_hess(y, y_hat)
+        g = y_hat - y
         p = GbrtParams(reg_lambda=0.0, reg_alpha=0.0)
-        w = leaf_weight(float(g.sum()), float(h.sum()), p)
+        w = leaf_weight(float(g.sum()), float(len(g)), p)
         assert w == pytest.approx((y - y_hat).mean())
 
 
@@ -145,8 +127,7 @@ class TestSplitGain:
 
 class TestBuildTree:
     def test_stump_split(self):
-        g, h = grad_hess(STUMP_Y, np.array([0.5, 0.5]))
-        tree = build_tree(STUMP_X, g, h, stump_params())
+        tree = build_tree(STUMP_X, 0.5 - STUMP_Y, stump_params())
         assert tree.feature == [0, -1, -1]
         assert tree.threshold[0] == 0.5
         assert tree.gain[0] == pytest.approx(0.25)
@@ -155,33 +136,33 @@ class TestBuildTree:
         assert tree.value == [0.0, -0.5, 0.5]
 
     def test_gamma_suppresses_split(self):
-        g, h = grad_hess(STUMP_Y, np.array([0.5, 0.5]))
-        tree = build_tree(STUMP_X, g, h, stump_params(gamma=0.3))
+        tree = build_tree(STUMP_X, 0.5 - STUMP_Y, stump_params(gamma=0.3))
         assert tree.feature == [-1]
         assert tree.value == [0.0]
 
     def test_depth_zero_is_leaf(self, rng):
         X = rng.uniform(size=(10, 3))
-        g, h = grad_hess(rng.uniform(size=10), np.zeros(10))
-        tree = build_tree(X, g, h, stump_params(max_depth=0))
+        g = -rng.uniform(size=10)
+        tree = build_tree(X, g, stump_params(max_depth=0))
         assert tree.feature == [-1]
 
     def test_depth_bound_holds(self, rng):
         X = rng.uniform(size=(30, 3))
-        g, h = grad_hess(rng.uniform(size=30), np.zeros(30))
-        tree = build_tree(X, g, h, stump_params(max_depth=3))
+        g = -rng.uniform(size=30)
+        tree = build_tree(X, g, stump_params(max_depth=3))
         assert max(node_depths(tree)) <= 3
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            build_tree(np.empty((0, 2)), np.empty(0), np.empty(0), stump_params())
+            build_tree(np.empty((0, 2)), np.empty(0), stump_params())
 
 
-def enumerate_best_split(X, g, h, params):
+def enumerate_best_split(X, g, params):
     """Exhaustive oracle: score every (feature, midpoint) with split_gain.
 
     Iterates features then thresholds in ascending order and keeps strictly
-    better gains only, mirroring the documented tie-break.
+    better gains only, mirroring the documented tie-break. Under squared
+    error each row's hessian is 1, so a side's hessian sum is its row count.
     """
     n, d = X.shape
     best = None  # (gain, feature, threshold)
@@ -190,9 +171,9 @@ def enumerate_best_split(X, g, h, params):
         for lo, hi in zip(distinct, distinct[1:]):
             thr = (lo + hi) * 0.5
             mask = X[:, j] <= thr
-            left = GradStats(float(g[mask].sum()), float(h[mask].sum()), int(mask.sum()))
+            left = GradStats(float(g[mask].sum()), float(mask.sum()), int(mask.sum()))
             right = GradStats(
-                float(g[~mask].sum()), float(h[~mask].sum()), int((~mask).sum())
+                float(g[~mask].sum()), float((~mask).sum()), int((~mask).sum())
             )
             gain = split_gain(left, right, params)
             if best is None or gain > best[0]:
@@ -219,17 +200,16 @@ def random_split_case(rng):
         reg_alpha=float(rng.uniform(0, 0.5)),
         gamma=float(rng.uniform(0, 0.2)),
     )
-    g, h = grad_hess(y, y_hat)
-    return X, g, h, params
+    return X, y_hat - y, params
 
 
 class TestGreedyMatchesEnumeration:
     def test_root_split_oracle(self, rng):
         checked_splits = 0
         for _ in range(200):
-            X, g, h, params = random_split_case(rng)
-            tree = build_tree(X, g, h, params)
-            expected = enumerate_best_split(X, g, h, params)
+            X, g, params = random_split_case(rng)
+            tree = build_tree(X, g, params)
+            expected = enumerate_best_split(X, g, params)
             if expected is None:
                 assert tree.feature == [-1]
                 continue
@@ -243,8 +223,7 @@ class TestGreedyMatchesEnumeration:
     def test_constant_columns_yield_no_split(self):
         xt = np.zeros((2, 5))
         g = np.arange(5.0)
-        h = np.ones(5)
-        gain, col, thr = best_split_kernel(xt, g, h, 1.0, 0.0, 0.0)
+        gain, col, thr = best_split_kernel(xt, g, 1.0, 0.0, 0.0)
         assert col == -1
 
 
@@ -339,6 +318,49 @@ class TestStagedPrefix:
         assert len(stages) == m + 1
         assert (small.predict(X_new) == stages[k]).all()
         assert (big.predict(X_new) == stages[m]).all()
+
+
+class TestCoverIsRowCount:
+    """Squared error has hessian 1 per row, so an internal node's cover (its
+    hessian sum) is the number of the tree's sampled rows that reach it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 20),
+        st.integers(1, 4),
+        st.integers(0, 5),
+        unit_interval,
+        unit_interval,
+        st.integers(0, 2**32 - 1),
+    )
+    def test_internal_cover_counts_rows(self, n, d, depth, subsample, colsample, seed):
+        data = np.random.default_rng(seed)
+        # Coarse values give tied feature values, which a split keeps on one side.
+        X, y = data.integers(0, 6, size=(n, d)) / 5.0, data.uniform(size=n)
+        params = GbrtParams(
+            n_estimators=4, max_depth=depth, subsample=subsample,
+            colsample_bytree=colsample, seed=seed,
+        )
+        sampled = []
+
+        def recording_build_tree(X_rows, g, params, rng=None):
+            sampled.append(X_rows)
+            return build_tree(X_rows, g, params, rng)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gbrt, "build_tree", recording_build_tree)
+            model = gbrt.fit(X, y, params)
+        assert len(sampled) == len(model.trees)
+        for tree, rows in zip(model.trees, sampled):
+            reached = [0] * len(tree.feature)
+            for row in rows:
+                node = 0
+                while tree.feature[node] >= 0:
+                    reached[node] += 1
+                    f, t = tree.feature[node], tree.threshold[node]
+                    node = tree.left[node] if row[f] <= t else tree.right[node]
+            internal = [i for i, f in enumerate(tree.feature) if f >= 0]
+            assert [tree.cover[i] for i in internal] == [float(reached[i]) for i in internal]
 
 
 class TestPredict:

@@ -11,38 +11,56 @@ from pervml.svr import (
     SvrModel,
     SvrParams,
     gram_matrix,
-    kernel_eval,
     kkt_violation,
 )
+
+
+def kernel_eval(params: SvrParams, x1, x2) -> float:
+    """Pairwise oracle: one kernel value straight from its formula."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if params.kernel == "linear":
+        return float(x1 @ x2)
+    if params.kernel == "polynomial":
+        return float((params.gamma * (x1 @ x2) + params.coef0) ** params.degree)
+    if params.kernel == "sigmoid":
+        return float(np.tanh(params.gamma * (x1 @ x2) + params.coef0))
+    d = x1 - x2
+    return float(np.exp(-params.gamma * (d @ d)))
+
+
+def kernel_value(params: SvrParams, x1, x2) -> float:
+    """One entry of gram_matrix on one-row inputs."""
+    return float(gram_matrix(params, [x1], [x2])[0, 0])
 
 
 class TestKernels:
     def test_rbf_self_is_one(self):
         p = SvrParams(kernel="rbf", gamma=0.7)
-        assert kernel_eval(p, [1.0, 2.0], [1.0, 2.0]) == 1.0
+        assert kernel_value(p, [1.0, 2.0], [1.0, 2.0]) == 1.0
 
     def test_linear_dot(self):
         p = SvrParams(kernel="linear")
-        assert kernel_eval(p, [1.0, 2.0], [3.0, 4.0]) == 11.0
+        assert kernel_value(p, [1.0, 2.0], [3.0, 4.0]) == 11.0
 
     def test_polynomial(self):
         p = SvrParams(kernel="polynomial", gamma=0.5, degree=2, coef0=1.0)
         # (0.5 * 2 + 1)^2 = 4
-        assert kernel_eval(p, [1.0, 1.0], [1.0, 1.0]) == pytest.approx(4.0)
+        assert kernel_value(p, [1.0, 1.0], [1.0, 1.0]) == pytest.approx(4.0)
 
     def test_sigmoid(self):
         p = SvrParams(kernel="sigmoid", gamma=0.5, coef0=0.0)
-        assert kernel_eval(p, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(np.tanh(0.5))
+        assert kernel_value(p, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(np.tanh(0.5))
 
     def test_symmetry(self, rng):
         p = SvrParams(kernel="rbf", gamma=1.3)
         for _ in range(20):
             a, b = rng.normal(size=4), rng.normal(size=4)
-            assert kernel_eval(p, a, b) == pytest.approx(kernel_eval(p, b, a), abs=1e-15)
+            assert kernel_value(p, a, b) == pytest.approx(kernel_value(p, b, a), abs=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            kernel_eval(SvrParams(), [1.0], [1.0, 2.0])
+            kernel_value(SvrParams(), [1.0], [1.0, 2.0])
 
     def test_gram_symmetric_unit_diagonal(self, rng):
         X = rng.uniform(size=(12, 3))
