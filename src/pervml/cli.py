@@ -18,8 +18,10 @@ from .data import ALL_COLUMNS, TARGET_COLUMNS, DatasetError, describe, load_bund
 from .metrics import EvalReport
 from .modelio import ModelIOError
 from .pipeline import (
+    IMPORTANCE_FIELDS,
     REPRO_SEED,
     RunConfig,
+    importance_rows,
     load_reference,
     reproduce,
     resolve_split,
@@ -142,7 +144,7 @@ def _default_params(family: str, target: str, seed: int):
 
 def _params_from_args(args, family: str):
     if getattr(args, "params", None):
-        combo = read_params_file(args.params)
+        combo = read_params_file(args.params, family)
         return make_params(family, combo, seed=args.seed)
     return _default_params(family, args.target, args.seed)
 
@@ -211,7 +213,8 @@ def cmd_tune(args) -> int:
     best_path = os.path.join(out, f"best_params_{args.model}_{args.target}.txt")
     with open(best_path, "w", encoding="utf-8") as fh:
         fh.write(f"# best of {grid.n_combinations} combinations; ")
-        fh.write(f"CV mean MSE {min(r.mean_mse for r in results)!r}; fold seed {args.seed}\n")
+        fh.write(f"CV mean MSE {min(results, key=lambda r: r.rank).mean_mse!r}; ")
+        fh.write(f"fold seed {args.seed}\n")
         for key, value in best.items():
             fh.write(f"{key} = {value}\n")
     model = refit_best(train, args.model, best, seed=args.seed)
@@ -270,21 +273,10 @@ def cmd_importance(args) -> int:
     write_importance_csv(path, report)
     if report.degenerate:
         print("ensemble has no splits; ranking is degenerate")
-    header = ("feature", "gain", "weight", "cover", "rank_gain", "rank_weight", "rank_cover", "mean_rank")
-    print(("{:<16}" + "{:>12}" * 7).format(*header))
-    for i, name in enumerate(report.features):
-        print(
-            "{:<16}{:>12.5f}{:>12.0f}{:>12.3f}{:>12d}{:>12d}{:>12d}{:>12.2f}".format(
-                name,
-                report.gain[i],
-                report.weight[i],
-                report.cover[i],
-                int(report.rank_gain[i]),
-                int(report.rank_weight[i]),
-                int(report.rank_cover[i]),
-                report.mean_rank[i],
-            )
-        )
+    specs = (".5f", ".0f", ".3f", "d", "d", "d", ".2f")  # one per IMPORTANCE_FIELDS
+    print(("{:<16}" + "{:>12}" * len(specs)).format("feature", *IMPORTANCE_FIELDS))
+    for name, *values in importance_rows(report):
+        print(f"{name:<16}" + "".join(format(v, f">12{spec}") for v, spec in zip(values, specs)))
     print(f"wrote {path}")
     return 0
 

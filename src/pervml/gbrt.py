@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .modelio import ModelIOError, float_field, integer_field, names_field
-from .modelio import read_model, write_model
+from .modelio import ModelIOError, check_finite, read_model, typed, write_model
 
 
 @dataclass(frozen=True)
@@ -45,6 +44,7 @@ class GbrtParams:
     seed: int = 42
 
     def __post_init__(self):
+        check_finite(self)
         if self.n_estimators < 0:
             raise ValueError("n_estimators must be >= 0")
         if self.max_depth < 0:
@@ -266,21 +266,16 @@ def _tree_from_dict(obj, n_features: int) -> Tree:
         obj, parent = stack.pop()
         if not isinstance(obj, dict):
             raise ModelIOError("tree node must be an object")
-        try:
-            if "weight" in obj:
-                _add_node(tree, parent, value=float_field(obj["weight"], "weight"))
-                continue
-            feature = integer_field(obj["feature"], "split feature")
-            if not 0 <= feature < n_features:
-                raise ModelIOError(
-                    f"split feature {feature} out of range for {n_features} feature(s)"
-                )
-            split = (float_field(obj[key], key) for key in ("threshold", "gain", "cover"))
-            node = _add_node(tree, parent, feature, *split)
-            stack.append((obj["right"], node))
-            stack.append((obj["left"], -1))
-        except KeyError as exc:
-            raise ModelIOError(f"tree node missing field {exc}") from exc
+        if "weight" in obj:
+            _add_node(tree, parent, value=typed(obj["weight"], float, "weight"))
+            continue
+        feature = typed(obj["feature"], int, "split feature")
+        if not 0 <= feature < n_features:
+            raise ModelIOError(f"split feature {feature} out of range for {n_features} feature(s)")
+        split = (typed(obj[key], float, key) for key in ("threshold", "gain", "cover"))
+        node = _add_node(tree, parent, feature, *split)
+        stack.append((obj["right"], node))
+        stack.append((obj["left"], -1))
     return tree
 
 
@@ -297,15 +292,15 @@ def save_model(model: TreeEnsemble, path):
     )
 
 
+def _ensemble_from_dict(payload: dict) -> TreeEnsemble:
+    feature_names = tuple(typed(payload["feature_names"], list[str], "feature_names"))
+    return TreeEnsemble(
+        base_score=typed(payload["base_score"], float, "base_score"),
+        eta=typed(payload["eta"], float, "eta"),
+        feature_names=feature_names,
+        trees=[_tree_from_dict(t, len(feature_names)) for t in payload["trees"]],
+    )
+
+
 def load_model(path) -> TreeEnsemble:
-    payload = read_model(path, expected_type="gbrt")
-    try:
-        feature_names = names_field(payload["feature_names"], "feature_names")
-        return TreeEnsemble(
-            base_score=float_field(payload["base_score"], "base_score"),
-            eta=float_field(payload["eta"], "eta"),
-            feature_names=feature_names,
-            trees=[_tree_from_dict(t, len(feature_names)) for t in payload["trees"]],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ModelIOError(f"{path}: malformed model payload ({exc})") from exc
+    return read_model(path, "gbrt", _ensemble_from_dict)

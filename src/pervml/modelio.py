@@ -1,9 +1,14 @@
-"""Reading and writing model files (JSON text, exact float round-trip)."""
+"""Model files (JSON text, exact float round-trip) and typed file fields:
+each parameter's type is declared once, on its params class, and read by
+`field_types`; `typed` checks every model-file value."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import sys
+import typing
 
 FORMAT_VERSION = 1
 
@@ -38,40 +43,53 @@ _NUMBER_HOOKS = {
 }
 
 
-def integer_field(value, name: str) -> int:
-    """An integer field of a model file: an int or an integral float, never a bool."""
+_KINDS = {  # kind: (JSON types it accepts, what a value of it must be)
+    int: ((int, float), "an integer"),
+    float: ((int, float), "a number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+    dict: (dict, "an object"),
+}
+_LIST_OF = {float: "numbers", str: "strings"}
+
+
+def typed(value, kind, name: str):
+    """`value` checked as `kind` (a key of `_KINDS` or a list of one) and
+    converted to it. A bool is only ever a bool, and an int may be written as
+    an integral float. A mismatch raises ModelIOError naming the field."""
+    if typing.get_origin(kind) is list:
+        (item,) = typing.get_args(kind)
+        if not isinstance(value, list):
+            raise ModelIOError(f"{name} must be a list of {_LIST_OF[item]}, got {value!r}")
+        return [typed(entry, item, f"{name} entry") for entry in value]
+    accepted, description = _KINDS[kind]
     if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not value.is_integer())
+        not isinstance(value, accepted)
+        or isinstance(value, bool) is not (kind is bool)
+        or (kind is int and not float(value).is_integer())
     ):
-        raise ModelIOError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+        raise ModelIOError(f"{name} must be {description}, got {value!r}")
+    return kind(value)
 
 
-def float_field(value, name: str) -> float:
-    """A float field of a model file: an int or a float, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelIOError(f"{name} must be a number, got {value!r}")
-    return float(value)
+def field_types(params_cls) -> dict[str, type]:
+    """Each field of a params dataclass and its declared type, in field order."""
+    hints = typing.get_type_hints(params_cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(params_cls)}
 
 
-def float_list(values, name: str) -> list[float]:
-    """A list-of-numbers field of a model file."""
-    if not isinstance(values, list):
-        raise ModelIOError(f"{name} must be a list of numbers, got {values!r}")
-    return [float_field(value, f"{name} entry") for value in values]
+def check_finite(params):
+    """Raise ValueError if any float field of a params dataclass is NaN or +-inf."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
-def names_field(value, name: str) -> tuple[str, ...]:
-    """A list-of-strings field of a model file, as a tuple."""
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ModelIOError(f"{name} must be a list of strings, got {value!r}")
-    return tuple(value)
-
-
-def read_model(path, expected_type: str) -> dict:
-    """Parse a model file; NaN, Infinity and overflowing numbers are rejected."""
+def read_model(path, expected_type: str, build):
+    """Parse a model file (NaN, Infinity and overflowing numbers rejected) and
+    return `build(payload)`; the KeyError, TypeError or ValueError of a
+    malformed payload becomes a ModelIOError that names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh, **_NUMBER_HOOKS)
@@ -92,4 +110,9 @@ def read_model(path, expected_type: str) -> dict:
         raise ModelIOError(
             f"{path}: model_type {model_type!r}, expected {expected_type!r}"
         )
-    return payload
+    try:
+        return build(payload)
+    except ModelIOError as exc:
+        raise ModelIOError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelIOError(f"{path}: malformed model payload ({exc})") from exc

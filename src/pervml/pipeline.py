@@ -33,6 +33,9 @@ from .tuning import FAMILIES, CvResult, TargetSlice, fit_model, make_params, tar
 
 PHASES = ("train", "test")
 METRIC_FIELDS = ("r2", "rmse", "mae", "mape")
+IMPORTANCE_FIELDS = (
+    "gain", "weight", "cover", "rank_gain", "rank_weight", "rank_cover", "mean_rank"
+)
 
 
 def load_reference() -> dict:
@@ -289,108 +292,61 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_predictions_csv(path, rows):
+def _write_csv(path, header, rows):
+    """The one CSV writer: a header row, then each row with `_fmt` on every cell."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("mixture_id", "experimental", "predicted", "phase"))
-        for mid, actual, predicted, phase in rows:
-            writer.writerow((mid, _fmt(actual), _fmt(predicted), phase))
+        writer.writerow(header)
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+
+
+def write_predictions_csv(path, rows):
+    _write_csv(path, ("mixture_id", "experimental", "predicted", "phase"), rows)
 
 
 def write_metrics_csv(path, reports: dict[str, EvalReport]):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("phase", "r2", "rmse", "mae", "mape", "n"))
-        for phase, report in reports.items():
-            if report is None:
-                continue
-            writer.writerow(
-                (
-                    phase,
-                    _fmt(report.r2),
-                    _fmt(report.rmse),
-                    _fmt(report.mae),
-                    _fmt(report.mape),
-                    report.n,
-                )
-            )
+    rows = [
+        (phase, *(getattr(report, m) for m in METRIC_FIELDS), report.n)
+        for phase, report in reports.items()
+        if report is not None
+    ]
+    _write_csv(path, ("phase", *METRIC_FIELDS, "n"), rows)
 
 
 def write_sensitivity_csv(path, table: SensitivityTable):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("input",) + table.outputs)
-        for i, name in enumerate(table.inputs):
-            writer.writerow((name,) + tuple(_fmt(float(v)) for v in table.values[i]))
+    rows = [(name, *values) for name, values in zip(table.inputs, table.values.tolist())]
+    _write_csv(path, ("input", *table.outputs), rows)
+
+
+def importance_rows(report: ImportanceReport) -> list[tuple]:
+    """One (feature, *IMPORTANCE_FIELDS) row per feature, as Python numbers."""
+    columns = [getattr(report, name).tolist() for name in IMPORTANCE_FIELDS]
+    return list(zip(report.features, *columns))
 
 
 def write_importance_csv(path, report: ImportanceReport):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            (
-                "feature",
-                "gain",
-                "weight",
-                "cover",
-                "rank_gain",
-                "rank_weight",
-                "rank_cover",
-                "mean_rank",
-            )
-        )
-        for i, name in enumerate(report.features):
-            writer.writerow(
-                (
-                    name,
-                    _fmt(float(report.gain[i])),
-                    _fmt(float(report.weight[i])),
-                    _fmt(float(report.cover[i])),
-                    int(report.rank_gain[i]),
-                    int(report.rank_weight[i]),
-                    int(report.rank_cover[i]),
-                    _fmt(float(report.mean_rank[i])),
-                )
-            )
+    _write_csv(path, ("feature",) + IMPORTANCE_FIELDS, importance_rows(report))
 
 
 def write_cv_results_csv(path, grid_axes: list[str], results: list[CvResult]):
     k = max((len(r.fold_mse) for r in results), default=0)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            tuple(grid_axes)
-            + tuple(f"fold{i}_mse" for i in range(k))
-            + ("mean_mse", "rank", "error")
-        )
-        for r in results:
-            fold_cells = [_fmt(v) for v in r.fold_mse] + [""] * (k - len(r.fold_mse))
-            writer.writerow(
-                tuple(_fmt(r.combination.get(a)) for a in grid_axes)
-                + tuple(fold_cells)
-                + (_fmt(r.mean_mse), r.rank, r.error or "")
-            )
+    header = [*grid_axes, *(f"fold{i}_mse" for i in range(k)), "mean_mse", "rank", "error"]
+    rows = (
+        [*map(r.combination.get, grid_axes), *r.fold_mse, *[None] * (k - len(r.fold_mse))]
+        + [r.mean_mse, r.rank, r.error]
+        for r in results
+    )
+    _write_csv(path, header, rows)
 
 
 def write_repro_csv(path, report: ReproReport):
-    header = ["model", "family", "target"]
-    for phase in PHASES:
-        for metric in METRIC_FIELDS:
-            header.append(f"{phase}_{metric}")
-    for phase in PHASES:
-        for metric in METRIC_FIELDS:
-            header += [f"ref_{phase}_{metric}", f"dev_abs_{phase}_{metric}", f"dev_rel_{phase}_{metric}"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in report.rows:
-            cells = [f"{row.family}_{row.target}", row.family, row.target]
-            for phase in PHASES:
-                for metric in METRIC_FIELDS:
-                    cells.append(_fmt(getattr(row.report[phase], metric)))
-            for phase in PHASES:
-                for metric in METRIC_FIELDS:
-                    ref = row.reference[phase][metric]
-                    dev_abs, dev_rel = row.deviation(phase, metric)
-                    cells += [_fmt(ref), _fmt(dev_abs), _fmt(dev_rel)]
-            writer.writerow(cells)
+    pairs = [(phase, metric) for phase in PHASES for metric in METRIC_FIELDS]
+    header = ["model", "family", "target", *(f"{p}_{m}" for p, m in pairs)]
+    header += [f"{pre}_{p}_{m}" for p, m in pairs for pre in ("ref", "dev_abs", "dev_rel")]
+    rows = (
+        [f"{row.family}_{row.target}", row.family, row.target]
+        + [getattr(row.report[p], m) for p, m in pairs]
+        + [v for p, m in pairs for v in (row.reference[p][m], *row.deviation(p, m))]
+        for row in report.rows
+    )
+    _write_csv(path, header, rows)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .modelio import ModelIOError, float_field, float_list, integer_field
-from .modelio import read_model, write_model
+from .modelio import ModelIOError, check_finite, field_types, read_model, typed, write_model
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
 
@@ -39,6 +38,7 @@ class SvrParams:
     max_passes: int = 10_000
 
     def __post_init__(self):
+        check_finite(self)
         if self.C <= 0:
             raise ValueError("C must be > 0")
         if self.epsilon < 0:
@@ -188,21 +188,16 @@ def kkt_violation(model: SvrModel, X, y, params: SvrParams | None = None) -> flo
     return worst
 
 
+# The model file's "kernel" section: each SvrParams field under its key, kind first.
+_KERNEL_KEYS = {"kernel": "kind"} | {n: n for n in field_types(SvrParams) if n != "kernel"}
+
+
 def save_model(model: SvrModel, path):
     write_model(
         path,
         {
             "model_type": "svr",
-            "kernel": {
-                "kind": model.params.kernel,
-                "C": model.params.C,
-                "epsilon": model.params.epsilon,
-                "gamma": model.params.gamma,
-                "degree": model.params.degree,
-                "coef0": model.params.coef0,
-                "tol": model.params.tol,
-                "max_passes": model.params.max_passes,
-            },
+            "kernel": {key: getattr(model.params, name) for name, key in _KERNEL_KEYS.items()},
             "n_features": model.n_features,
             "support_vectors": [list(row) for row in model.support_vectors],
             "dual_coefs": list(model.dual_coefs),
@@ -212,45 +207,28 @@ def save_model(model: SvrModel, path):
     )
 
 
+def _model_from_dict(payload: dict) -> SvrModel:
+    kernel, types = payload["kernel"], field_types(SvrParams)
+    params = SvrParams(
+        **{name: typed(kernel[key], types[name], key) for name, key in _KERNEL_KEYS.items()}
+    )
+    n_features = typed(payload["n_features"], int, "n_features")
+    rows = [typed(row, list[float], "support vector") for row in payload["support_vectors"]]
+    sv = np.array(rows, dtype=float).reshape(-1, n_features)
+    dual_coefs = np.array(typed(payload["dual_coefs"], list[float], "dual_coefs"), dtype=float)
+    if dual_coefs.shape != (len(sv),):
+        raise ModelIOError(f"{dual_coefs.size} dual coefficient(s) for {len(sv)} support vector(s)")
+    solver = typed(payload.get("solver", {}), dict, "solver")
+    return SvrModel(
+        support_vectors=sv,
+        dual_coefs=dual_coefs,
+        bias=typed(payload["bias"], float, "bias"),
+        params=params,
+        n_features=n_features,
+        converged=typed(solver.get("converged", True), bool, "converged"),
+        n_iter=typed(solver.get("n_iter", 0), int, "n_iter"),
+    )
+
+
 def load_model(path) -> SvrModel:
-    payload = read_model(path, expected_type="svr")
-    try:
-        kernel = payload["kernel"]
-        params = SvrParams(
-            C=float_field(kernel["C"], "C"),
-            epsilon=float_field(kernel["epsilon"], "epsilon"),
-            kernel=str(kernel["kind"]),
-            gamma=float_field(kernel["gamma"], "gamma"),
-            degree=integer_field(kernel["degree"], "degree"),
-            coef0=float_field(kernel["coef0"], "coef0"),
-            tol=float_field(kernel["tol"], "tol"),
-            max_passes=integer_field(kernel["max_passes"], "max_passes"),
-        )
-        n_features = integer_field(payload["n_features"], "n_features")
-        rows = [float_list(row, "support vector") for row in payload["support_vectors"]]
-        sv = np.array(rows, dtype=float).reshape(-1, n_features)
-        dual_coefs = np.array(float_list(payload["dual_coefs"], "dual_coefs"), dtype=float)
-        if dual_coefs.shape != (len(sv),):
-            raise ModelIOError(
-                f"{path}: {dual_coefs.size} dual coefficient(s) "
-                f"for {len(sv)} support vector(s)"
-            )
-        solver = payload.get("solver", {})
-        if not isinstance(solver, dict):
-            raise ModelIOError(f"solver must be an object, got {solver!r}")
-        converged = solver.get("converged", True)
-        if not isinstance(converged, bool):
-            raise ModelIOError(f"converged must be true or false, got {converged!r}")
-        return SvrModel(
-            support_vectors=sv,
-            dual_coefs=dual_coefs,
-            bias=float_field(payload["bias"], "bias"),
-            params=params,
-            n_features=n_features,
-            converged=converged,
-            n_iter=integer_field(solver.get("n_iter", 0), "n_iter"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ModelIOError):
-            raise
-        raise ModelIOError(f"{path}: malformed model payload ({exc})") from exc
+    return read_model(path, "svr", _model_from_dict)

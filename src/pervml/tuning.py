@@ -2,7 +2,8 @@
 
 The search sees only the training slice; folds are drawn once per search
 from a seeded shuffle and shared by every combination. Ties on mean MSE are
-broken by grid iteration order (axes iterated in declaration order).
+broken by grid iteration order (axes iterated in declaration order), and
+every non-finite mean (a failed combination, a NaN score) ranks last.
 Combinations that differ only in a family's staged axis (gbrt's
 `n_estimators`) share one fit per fold, and each is scored from the staged
 prediction at its own value, which equals the prediction of its own fit.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import itertools
+import math
 from dataclasses import dataclass, field
 from types import ModuleType
 
@@ -20,6 +22,7 @@ import numpy as np
 from . import gbrt, svr
 from .data import FEATURE_COLUMNS, Dataset, Scaler
 from .metrics import mse
+from .modelio import field_types
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,6 @@ FAMILIES = {
         },
     ),
 }
-
-_INT_AXES = {"n_estimators", "max_depth", "degree", "seed", "max_passes"}
-_STR_AXES = {"kernel"}
-
 
 @dataclass(frozen=True)
 class TargetSlice:
@@ -174,7 +173,8 @@ def grid_search(
     """Score every combination by mean held-out-fold MSE; lowest mean wins.
 
     A combination whose params or fit raise is recorded with its error and
-    ranked last; the search continues. Everything runs in normalized space.
+    ranked last, as is one whose mean is NaN; the search continues.
+    Everything runs in normalized space.
     Combinations whose params differ only in the family's staged axis are
     scored together (`_score_group`); results keep grid iteration order.
     """
@@ -197,13 +197,20 @@ def grid_search(
     for members in groups.values():
         _score_group(train, grid.family, folds, members)
 
-    order = sorted(range(len(results)), key=lambda i: (results[i].mean_mse, i))
+    order = sorted(range(len(results)), key=lambda i: _rank_key(results[i].mean_mse, i))
     for rank, idx in enumerate(order, start=1):
         results[idx].rank = rank
     best = results[order[0]]
     if best.error is not None:
         raise RuntimeError(f"every grid combination failed; first error: {best.error}")
     return dict(best.combination), results
+
+
+def _rank_key(mean_mse: float, index: int) -> tuple:
+    """Sort key of a combination: finite means first, lowest first; every
+    non-finite one (an error's inf, a NaN score) after them; ties in grid order."""
+    finite = math.isfinite(mean_mse)
+    return (not finite, mean_mse if finite else 0.0, index)
 
 
 def _record_error(result: CvResult, exc: Exception):
@@ -264,17 +271,19 @@ def default_grid(family: str) -> HyperGrid:
     return HyperGrid(family=family, axes=dict(_family(family).default_axes))
 
 
-def _parse_axis_value(axis: str, text: str):
-    text = text.strip()
-    if axis in _STR_AXES:
-        return text
-    if axis in _INT_AXES:
-        return int(text)
-    return float(text)
+def _parse_value(family: str, name: str, text: str):
+    """`text` as the type that `family`'s params class declares for `name`."""
+    types = field_types(_family(family).params)
+    if name not in types:
+        raise ValueError(f"unknown {family} parameter {name!r}; expected one of {', '.join(types)}")
+    return types[name](text.strip())
 
 
-def read_params_file(path) -> dict:
-    """Parse a key=value parameter file (one pair per line, # comments)."""
+def read_params_file(path, family: str) -> dict:
+    """Parse a key=value parameter file (one pair per line, # comments).
+
+    Each value is parsed as the type `family`'s params class declares.
+    """
     combo = {}
     with open(path, encoding="utf-8") as fh:
         for line_num, line in enumerate(fh, start=1):
@@ -286,7 +295,7 @@ def read_params_file(path) -> dict:
             key, _, raw = line.partition("=")
             key = key.strip()
             try:
-                combo[key] = _parse_axis_value(key, raw)
+                combo[key] = _parse_value(family, key, raw)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_num}: {exc}") from exc
     if not combo:
@@ -309,7 +318,7 @@ def read_grid_file(path) -> dict[str, HyperGrid]:
         for axis, raw in parser.items(family):
             try:
                 axes[axis] = tuple(
-                    _parse_axis_value(axis, item) for item in raw.split(",") if item.strip()
+                    _parse_value(family, axis, item) for item in raw.split(",") if item.strip()
                 )
             except ValueError as exc:
                 raise ValueError(f"{path}: axis {axis!r}: {exc}") from exc

@@ -87,6 +87,43 @@ class TestTrain:
         assert (out / "model_gbrt_tensile.json").exists()
 
 
+class TestSettingsFiles:
+    @pytest.mark.parametrize("command", ["train", "evaluate", "importance"])
+    def test_unknown_params_key_exits_2(self, tmp_path, capsys, command):
+        params = tmp_path / "params.txt"
+        params.write_text("n_estimators = 5\nfoo = 1\n")
+        rc = run_cli(command, "--params", str(params), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "unknown gbrt parameter 'foo'" in err
+        assert "Traceback" not in err
+
+    def test_unknown_grid_axis_exits_2(self, tmp_path, capsys):
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[svr]\nC = 1, 10\nnu = 0.5\n")
+        rc = run_cli("tune", "--model", "svr", "--grid", str(grid), "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "axis 'nu'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "family, setting",
+        [("svr", "C = nan"), ("svr", "epsilon = inf"), ("gbrt", "reg_lambda = nan"),
+         ("gbrt", "eta = -inf")],
+    )
+    def test_non_finite_param_exits_2(self, tmp_path, capsys, family, setting):
+        params = tmp_path / "params.txt"
+        params.write_text(setting + "\n")
+        rc = run_cli(
+            "evaluate", "--model", family, "--params", str(params), "--out", str(tmp_path)
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "must be finite" in err
+        assert "Traceback" not in err
+
+
 class TestEvaluate:
     def test_writes_reports_and_predictions(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -243,6 +280,26 @@ class TestTune:
         assert (out / "model_gbrt_compressive.json").exists()
         stdout = capsys.readouterr().out
         assert "fold seed 42" in stdout
+
+
+    @pytest.mark.filterwarnings("ignore")  # degree 400 overflows and hits the SMO cap
+    def test_nan_score_is_not_best(self, tmp_path, capsys):
+        grid = tmp_path / "grid.ini"
+        grid.write_text(
+            "[svr]\nkernel = polynomial\ndegree = 400, 2\ngamma = 10\n"
+            "coef0 = 1\nC = 1\nmax_passes = 50\n"
+        )
+        out = tmp_path / "out"
+        rc = run_cli("tune", "--model", "svr", "--grid", str(grid), "--out", str(out))
+        assert rc == 0
+        cv = read_csv(out / "cv_results_svr_compressive.csv")
+        assert [(row[1], row[-3], row[-2]) for row in cv[1:]] == [
+            ("400", "nan", "2"),
+            ("2", cv[2][-3], "1"),
+        ]
+        best = (out / "best_params_svr_compressive.txt").read_text()
+        assert f"CV mean MSE {cv[2][-3]};" in best
+        assert "degree = 2\n" in best
 
 
 class TestSensitivity:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,9 @@ def unshared_grid_search(train, grid, k=5, seed=42):
             result.error = f"{type(exc).__name__}: {exc}"
             result.mean_mse = float("inf")
         results.append(result)
-    order = sorted(range(len(results)), key=lambda i: (results[i].mean_mse, i))
+    finite = [i for i, r in enumerate(results) if math.isfinite(r.mean_mse)]
+    rest = [i for i, r in enumerate(results) if not math.isfinite(r.mean_mse)]
+    order = sorted(finite, key=lambda i: (results[i].mean_mse, i)) + rest
     for rank, idx in enumerate(order, start=1):
         results[idx].rank = rank
     return results
@@ -205,10 +209,23 @@ ORACLE_GRIDS = {
         "svr",
         {"C": (1.0, -1.0, 10.0), "epsilon": (0.1,), "kernel": ("rbf",), "gamma": (0.11,)},
     ),
+    # Degree 400 overflows the Gram matrix: a NaN fold score, listed first.
+    "nan_score_first": (
+        "svr",
+        {
+            "kernel": ("polynomial",),
+            "degree": (400, 2),
+            "gamma": (10.0,),
+            "coef0": (1.0,),
+            "C": (1.0,),
+            "max_passes": (50,),
+        },
+    ),
 }
 
 
 class TestSharedFitsMatchUnshared:
+    @pytest.mark.filterwarnings("ignore")  # nan_score_first overflows and hits the SMO cap
     @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
     def test_results_identical(self, train_slices, name):
         family, axes = ORACLE_GRIDS[name]
@@ -219,8 +236,8 @@ class TestSharedFitsMatchUnshared:
         assert len(results) == len(expected) == grid.n_combinations
         for got, want in zip(results, expected):
             assert got.combination == want.combination
-            assert got.fold_mse == want.fold_mse
-            assert got.mean_mse == want.mean_mse
+            assert repr(got.fold_mse) == repr(want.fold_mse)  # NaN equals NaN
+            assert repr(got.mean_mse) == repr(want.mean_mse)
             assert got.rank == want.rank
             assert got.error == want.error
 
@@ -241,6 +258,27 @@ class TestSharedFitsMatchUnshared:
         calls = count_fits(monkeypatch, svr)
         grid_search(train_slices["density"], grid, k=5, seed=42)
         assert calls[0] == 3 * 5
+
+
+class TestNonFiniteRanking:
+    @pytest.mark.filterwarnings("ignore")  # degree 400 overflows and hits the SMO cap
+    def test_nan_score_ranks_after_finite(self, train_slices):
+        family, axes = ORACLE_GRIDS["nan_score_first"]
+        best, results = grid_search(
+            train_slices["compressive"], HyperGrid(family=family, axes=axes), k=5, seed=42
+        )
+        assert math.isnan(results[0].mean_mse)
+        assert results[0].error is None
+        assert [r.rank for r in results] == [2, 1]
+        assert best["degree"] == 2
+
+    def test_nan_param_fails_and_ranks_last(self, train_slices):
+        grid = HyperGrid(family="svr", axes={"C": (math.nan, 10.0)})
+        best, results = grid_search(train_slices["compressive"], grid, k=5, seed=42)
+        assert results[0].error == "ValueError: C must be finite, got nan"
+        assert results[0].mean_mse == math.inf
+        assert [r.rank for r in results] == [2, 1]
+        assert best == {"C": 10.0}
 
 
 class TestRefit:
@@ -280,14 +318,33 @@ class TestConfigFiles:
     def test_params_file(self, tmp_path):
         path = tmp_path / "params.txt"
         path.write_text("# reference compressive setting\nn_estimators = 18\neta = 0.95\n")
-        combo = read_params_file(path)
+        combo = read_params_file(path, "gbrt")
         assert combo == {"n_estimators": 18, "eta": 0.95}
         params = make_params("gbrt", combo, seed=3)
         assert params.n_estimators == 18
         assert params.seed == 3
 
+    def test_values_take_the_declared_types(self, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("kernel = linear\ndegree = 2\nC = 3\nmax_passes = 70\n")
+        combo = read_params_file(path, "svr")
+        assert combo == {"kernel": "linear", "degree": 2, "C": 3.0, "max_passes": 70}
+        assert [type(v) for v in combo.values()] == [str, int, float, int]
+
+    def test_params_file_unknown_key(self, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("C = 1\nseed = 1\n")
+        with pytest.raises(ValueError, match=r"line 2: unknown svr parameter 'seed'.*max_passes"):
+            read_params_file(path, "svr")
+
+    def test_grid_file_unknown_axis(self, tmp_path):
+        path = tmp_path / "grid.ini"
+        path.write_text("[gbrt]\neta = 0.3\nlearning_rate = 0.1, 0.3\n")
+        with pytest.raises(ValueError, match=r"axis 'learning_rate': unknown gbrt parameter"):
+            read_grid_file(path)
+
     def test_params_file_bad_line(self, tmp_path):
         path = tmp_path / "params.txt"
         path.write_text("n_estimators 18\n")
         with pytest.raises(ValueError, match="key = value"):
-            read_params_file(path)
+            read_params_file(path, "gbrt")
