@@ -20,12 +20,12 @@ from .modelio import ModelIOError
 from .pipeline import (
     IMPORTANCE_FIELDS,
     REPRO_SEED,
-    RunConfig,
     importance_rows,
-    load_reference,
+    published_params,
     reproduce,
     resolve_split,
     run_model,
+    slices,
     write_cv_results_csv,
     write_importance_csv,
     write_metrics_csv,
@@ -41,10 +41,7 @@ from .tuning import (
     read_grid_file,
     read_params_file,
     refit_best,
-    target_slice,
 )
-from .data import split as split_dataset
-from .pipeline import fit_scaler_for_mode
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -121,14 +118,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _data_path(args) -> str | None:
+def _load(args):
     if args.data is not None and args.data_flag is not None:
         raise DatasetError("pass the data file either positionally or via --data, not both")
-    return args.data if args.data is not None else args.data_flag
-
-
-def _load(args):
-    path = _data_path(args)
+    path = args.data if args.data is not None else args.data_flag
     return load_bundled() if path is None else load_csv(path)
 
 
@@ -137,16 +130,18 @@ def _ensure_out(path: str) -> str:
     return path
 
 
-def _default_params(family: str, target: str, seed: int):
-    setting = dict(load_reference()["settings"][family][target])
-    return make_params(family, setting, seed=seed)
-
-
-def _params_from_args(args, family: str):
-    if getattr(args, "params", None):
-        combo = read_params_file(args.params, family)
-        return make_params(family, combo, seed=args.seed)
-    return _default_params(family, args.target, args.seed)
+def _run(args, family: str, model=None):
+    """Fit (unless `model` is given) and evaluate one model as `args` say:
+    the --params file, or the published setting for --target."""
+    ds = _load(args)
+    spec = resolve_split(ds, args.split)
+    if model is not None:
+        params = None
+    elif args.params:
+        params = make_params(family, read_params_file(args.params, family), seed=args.seed)
+    else:
+        params = published_params(family, args.target, args.seed)
+    return run_model(ds, args.target, family, params, spec, args.scaler, model=model)
 
 
 def _print_report(label: str, report: EvalReport | None):
@@ -191,10 +186,7 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_tune(args) -> int:
     ds = _load(args)
-    spec = resolve_split(ds, args.split)
-    train_ds, _ = split_dataset(ds, spec)
-    scaler = fit_scaler_for_mode(ds, train_ds, args.scaler)
-    train = target_slice(train_ds, args.target, scaler)
+    _, train, _ = slices(ds, args.target, resolve_split(ds, args.split), args.scaler)
     if args.grid:
         grids = read_grid_file(args.grid)
         if args.model not in grids:
@@ -226,10 +218,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds = _load(args)
-    spec = resolve_split(ds, args.split)
-    params = _params_from_args(args, args.model)
-    run = run_model(ds, args.target, args.model, params, spec, args.scaler)
+    run = _run(args, args.model)
     out = _ensure_out(args.out)
     path = os.path.join(out, f"model_{args.model}_{args.target}.json")
     FAMILIES[args.model].module.save_model(run.model, path)
@@ -239,15 +228,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ds = _load(args)
-    spec = resolve_split(ds, args.split)
     model = None
-    params = None
     if args.model_file:
         model = FAMILIES[args.model].module.load_model(args.model_file)
-    else:
-        params = _params_from_args(args, args.model)
-    run = run_model(ds, args.target, args.model, params, spec, args.scaler, model=model)
+    run = _run(args, args.model, model)
     out = _ensure_out(args.out)
     metrics_path = os.path.join(out, f"metrics_{args.model}_{args.target}.csv")
     write_metrics_csv(metrics_path, {"train": run.train_report, "test": run.test_report})
@@ -263,10 +247,7 @@ def cmd_importance(args) -> int:
     if args.model_file:
         model = FAMILIES["gbrt"].module.load_model(args.model_file)
     else:
-        ds = _load(args)
-        spec = resolve_split(ds, args.split)
-        params = _params_from_args(args, "gbrt")
-        model = run_model(ds, args.target, "gbrt", params, spec, args.scaler).model
+        model = _run(args, "gbrt").model
     report = compute_importance(model)
     out = _ensure_out(args.out)
     path = os.path.join(out, f"importance_{args.target}.csv")
@@ -282,8 +263,7 @@ def cmd_importance(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    cfg = RunConfig(data_path=_data_path(args), scaler_mode=args.scaler, seed=args.seed)
-    report = reproduce(cfg)
+    report = reproduce(_load(args), args.scaler, args.seed)
     out = _ensure_out(args.out)
     report_path = os.path.join(out, "repro_report.csv")
     write_repro_csv(report_path, report)

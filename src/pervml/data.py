@@ -7,6 +7,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,8 +72,8 @@ class Dataset:
     """An ordered collection of mixtures with unique ids."""
 
     records: tuple[MixtureRecord, ...]
-    feature_names: tuple[str, ...] = FEATURE_COLUMNS
-    target_names: tuple[str, ...] = TARGET_COLUMNS
+    feature_names: ClassVar[tuple[str, ...]] = FEATURE_COLUMNS
+    target_names: ClassVar[tuple[str, ...]] = TARGET_COLUMNS
 
     def __post_init__(self):
         seen = set()
@@ -122,8 +123,9 @@ class ColumnStats:
 
 
 def load_csv(path) -> Dataset:
-    """Read a mixture table. The header must match the bundled file exactly."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Read a mixture table. The header must match the bundled file exactly;
+    a leading UTF-8 byte-order mark is skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -209,57 +211,36 @@ def describe(ds: Dataset) -> dict[str, ColumnStats]:
     return stats
 
 
+@dataclass(frozen=True)
 class Scaler:
-    """Per-column min-max normalization to [0, 1].
+    """Per-column min-max normalization to [0, 1], held as each column's
+    (min, max) over the table it was fitted on; `fit_scaler` builds one.
 
     Out-of-range inputs extrapolate linearly (no clamping), so values beyond
-    the fitted range stay distinguishable. Columns with max == min are
-    flagged constant and map to 0.
+    the fitted range stay distinguishable. A column with min == max maps to
+    0, and back to its min.
     """
 
-    def __init__(self):
-        self._mins: dict[str, float] = {}
-        self._maxs: dict[str, float] = {}
-        self.constant_columns: set[str] = set()
-        self.fitted = False
-
-    def fit(self, ds: Dataset, columns=ALL_COLUMNS) -> "Scaler":
-        if len(ds) == 0:
-            raise DatasetError("cannot fit scaler on an empty dataset")
-        for name in columns:
-            col = ds.column(name)
-            lo, hi = float(col.min()), float(col.max())
-            self._mins[name] = lo
-            self._maxs[name] = hi
-            if lo == hi:
-                self.constant_columns.add(name)
-        self.fitted = True
-        return self
-
-    def _check(self, column: str):
-        if not self.fitted:
-            raise DatasetError("scaler is not fitted")
-        if column not in self._mins:
-            raise DatasetError(f"scaler was not fitted on column {column!r}")
+    ranges: dict[str, tuple[float, float]]
 
     def column_range(self, column: str) -> tuple[float, float]:
-        self._check(column)
-        return self._mins[column], self._maxs[column]
+        try:
+            return self.ranges[column]
+        except KeyError:
+            raise DatasetError(f"scaler was not fitted on column {column!r}") from None
 
     def transform(self, column: str, values):
-        self._check(column)
+        lo, hi = self.column_range(column)
         values = np.asarray(values, dtype=float)
-        if column in self.constant_columns:
+        if lo == hi:
             return np.zeros_like(values)
-        lo, hi = self._mins[column], self._maxs[column]
         return (values - lo) / (hi - lo)
 
     def inverse_transform(self, column: str, values):
-        self._check(column)
+        lo, hi = self.column_range(column)
         values = np.asarray(values, dtype=float)
-        if column in self.constant_columns:
-            return np.full_like(values, self._mins[column])
-        lo, hi = self._mins[column], self._maxs[column]
+        if lo == hi:
+            return np.full_like(values, lo)
         return values * (hi - lo) + lo
 
     def transform_features(self, ds: Dataset) -> np.ndarray:
@@ -268,8 +249,12 @@ class Scaler:
         return np.column_stack(cols)
 
 
-def fit_scaler(ds: Dataset, columns=ALL_COLUMNS) -> Scaler:
-    return Scaler().fit(ds, columns)
+def fit_scaler(ds: Dataset) -> Scaler:
+    """The (min, max) of every column of `ds`."""
+    if len(ds) == 0:
+        raise DatasetError("cannot fit scaler on an empty dataset")
+    columns = {name: ds.column(name) for name in ALL_COLUMNS}
+    return Scaler({name: (float(c.min()), float(c.max())) for name, c in columns.items()})
 
 
 def reference_split(ds: Dataset) -> SplitSpec:

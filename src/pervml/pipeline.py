@@ -16,14 +16,13 @@ from importlib import resources
 
 from .analysis import ImportanceReport, SensitivityTable, importance
 from .data import (
+    FEATURE_COLUMNS,
     TARGET_COLUMNS,
     Dataset,
     DatasetError,
     Scaler,
     SplitSpec,
     fit_scaler,
-    load_bundled,
-    load_csv,
     random_split,
     reference_split,
     split,
@@ -50,17 +49,10 @@ def load_reference() -> dict:
 REPRO_SEED = 7
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    data_path: str | None = None  # None selects the bundled table
-    scaler_mode: str = "full"  # "full" | "train"
-    seed: int = REPRO_SEED
-
-
-def load_dataset(cfg: RunConfig) -> Dataset:
-    if cfg.data_path is None:
-        return load_bundled()
-    return load_csv(cfg.data_path)
+def published_params(family: str, target: str, seed: int):
+    """Params of the published optimal setting of `family` for `target`."""
+    setting = dict(load_reference()["settings"][family][target])
+    return make_params(family, setting, seed=seed)
 
 
 def resolve_split(ds: Dataset, spec_text: str) -> SplitSpec:
@@ -76,7 +68,7 @@ def resolve_split(ds: Dataset, spec_text: str) -> SplitSpec:
     if spec_text.startswith("ids:"):
         path = spec_text.split(":", 1)[1]
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 test_ids = frozenset(
                     line.strip()
                     for line in fh
@@ -92,12 +84,21 @@ def resolve_split(ds: Dataset, spec_text: str) -> SplitSpec:
     )
 
 
-def fit_scaler_for_mode(ds: Dataset, train_ds: Dataset, mode: str) -> Scaler:
-    if mode == "full":
-        return fit_scaler(ds)
-    if mode == "train":
-        return fit_scaler(train_ds)
-    raise DatasetError(f"unknown scaler mode {mode!r}; use full or train")
+def slices(
+    ds: Dataset, target: str, spec: SplitSpec, scaler_mode: str
+) -> tuple[Scaler, TargetSlice, TargetSlice | None]:
+    """Split `ds` by `spec`, fit the scaler on the whole table (`scaler_mode`
+    "full") or on the training side ("train"), and return it with the
+    normalized train slice for `target` and the test slice, or None when the
+    test side is empty."""
+    if target not in TARGET_COLUMNS:
+        raise DatasetError(f"unknown target {target!r}; expected one of {TARGET_COLUMNS}")
+    train_ds, test_ds = split(ds, spec)
+    if scaler_mode not in ("full", "train"):
+        raise DatasetError(f"unknown scaler mode {scaler_mode!r}; use full or train")
+    scaler = fit_scaler(ds if scaler_mode == "full" else train_ds)
+    test = target_slice(test_ds, target, scaler) if len(test_ds) else None
+    return scaler, target_slice(train_ds, target, scaler), test
 
 
 @dataclass
@@ -134,20 +135,14 @@ def run_model(
     model=None,
 ) -> ModelRun:
     """Normalize, split, fit (unless a model is given), evaluate both phases."""
-    if target not in TARGET_COLUMNS:
-        raise DatasetError(f"unknown target {target!r}; expected one of {TARGET_COLUMNS}")
-    train_ds, test_ds = split(ds, split_spec)
-    scaler = fit_scaler_for_mode(ds, train_ds, scaler_mode)
-    train_slice = target_slice(train_ds, target, scaler)
-
+    scaler, train, test = slices(ds, target, split_spec, scaler_mode)
     if model is None:
-        model = fit_model(family, train_slice.X, train_slice.y, params, ds.feature_names)
+        model = fit_model(family, train.X, train.y, params, FEATURE_COLUMNS)
 
-    train_report, rows = _evaluate_phase(model, train_slice, scaler, target, "train")
+    train_report, rows = _evaluate_phase(model, train, scaler, target, "train")
     test_report = None
-    if len(test_ds):
-        test_slice = target_slice(test_ds, target, scaler)
-        test_report, test_rows = _evaluate_phase(model, test_slice, scaler, target, "test")
+    if test is not None:
+        test_report, test_rows = _evaluate_phase(model, test, scaler, target, "test")
         rows = rows + test_rows
     order = {mid: i for i, mid in enumerate(ds.ids)}
     rows.sort(key=lambda r: order[r[0]])
@@ -192,13 +187,15 @@ class ReproReport:
         return not self.band_failures
 
 
-def reproduce(cfg: RunConfig) -> ReproReport:
-    """Train all 8 published models and compare against the reference results.
+def reproduce(ds: Dataset, scaler_mode: str = "full", seed: int = REPRO_SEED) -> ReproReport:
+    """Train all 8 published models on `ds` and compare against the reference
+    results.
 
-    The published id split is always used; cfg.seed feeds only the model
-    internals (row/column subsampling), never the partition.
+    The published id split is always used, so `ds` must hold its five test
+    mixtures; `scaler_mode` is "full" or "train" as in `run_model`. `seed`
+    feeds only the model internals (row/column subsampling), never the
+    partition.
     """
-    ds = load_dataset(cfg)
     spec = reference_split(ds)
     ref = load_reference()
 
@@ -207,9 +204,8 @@ def reproduce(cfg: RunConfig) -> ReproReport:
     importances: dict[str, ImportanceReport] = {}
     for target in TARGET_COLUMNS:
         for family in FAMILIES:
-            setting = dict(ref["settings"][family][target])
-            params = make_params(family, setting, seed=cfg.seed)
-            run = run_model(ds, target, family, params, spec, cfg.scaler_mode)
+            params = published_params(family, target, seed)
+            run = run_model(ds, target, family, params, spec, scaler_mode)
             runs[(family, target)] = run
             rows.append(
                 ReproRow(

@@ -100,6 +100,7 @@ def fit(X, y, params: SvrParams, feature_names=None) -> SvrModel:
 
     If the iteration cap is hit first, the best-effort model is returned
     with converged=False and an SvrConvergenceWarning carrying the residual.
+    A kernel matrix that overflows to inf or NaN raises ValueError.
     feature_names is accepted so that every family fits through the same
     call; an SVR model keeps no names.
     """
@@ -110,7 +111,10 @@ def fit(X, y, params: SvrParams, feature_names=None) -> SvrModel:
     if y.shape != (X.shape[0],):
         raise ValueError(f"shape mismatch: X {X.shape} vs y {y.shape}")
 
-    K = gram_matrix(params, X, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = gram_matrix(params, X, X)
+    if not np.isfinite(K).all():
+        raise ValueError(f"{params.kernel} kernel matrix is not finite (overflow)")
     beta, max_up, min_low, n_iter, converged = _kernels.smo_solve(
         np.ascontiguousarray(K),
         np.ascontiguousarray(y),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pervml.data import fit_scaler, load_bundled, reference_split, split
-from pervml.pipeline import RunConfig, reproduce
+from pervml.pipeline import reproduce
 from pervml.tuning import target_slice
 
 
@@ -37,9 +37,9 @@ def train_slices(bundled, train_test, full_scaler):
 
 
 @pytest.fixture(scope="session")
-def repro_report():
+def repro_report(bundled):
     """One shared default reproduction run (8 models, published settings)."""
-    return reproduce(RunConfig())
+    return reproduce(bundled)
 
 
 @pytest.fixture()

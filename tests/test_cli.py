@@ -86,6 +86,20 @@ class TestTrain:
         assert rc == 0
         assert (out / "model_gbrt_tensile.json").exists()
 
+    def test_overflowing_kernel_exits_2(self, tmp_path, capsys):
+        params = tmp_path / "params.txt"
+        params.write_text(
+            "kernel = polynomial\ndegree = 400\ngamma = 10\ncoef0 = 1\nC = 1\n"
+            "max_passes = 50\n"
+        )
+        out = tmp_path / "out"
+        rc = run_cli("train", "--model", "svr", "--params", str(params), "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "polynomial kernel matrix is not finite (overflow)" in err
+        assert "Traceback" not in err
+        assert not (out / "model_svr_compressive.json").exists()
+
 
 class TestSettingsFiles:
     @pytest.mark.parametrize("command", ["train", "evaluate", "importance"])
@@ -282,7 +296,8 @@ class TestTune:
         assert "fold seed 42" in stdout
 
 
-    @pytest.mark.filterwarnings("ignore")  # degree 400 overflows and hits the SMO cap
+    # Degree 2 hits the SMO cap at max_passes 50.
+    @pytest.mark.filterwarnings("ignore::pervml.svr.SvrConvergenceWarning")
     def test_nan_score_is_not_best(self, tmp_path, capsys):
         grid = tmp_path / "grid.ini"
         grid.write_text(
@@ -293,10 +308,12 @@ class TestTune:
         rc = run_cli("tune", "--model", "svr", "--grid", str(grid), "--out", str(out))
         assert rc == 0
         cv = read_csv(out / "cv_results_svr_compressive.csv")
+        # Degree 400 overflows the kernel matrix: its fit fails, mean inf.
         assert [(row[1], row[-3], row[-2]) for row in cv[1:]] == [
-            ("400", "nan", "2"),
+            ("400", "inf", "2"),
             ("2", cv[2][-3], "1"),
         ]
+        assert cv[1][-1] == "ValueError: polynomial kernel matrix is not finite (overflow)"
         best = (out / "best_params_svr_compressive.txt").read_text()
         assert f"CV mean MSE {cv[2][-3]};" in best
         assert "degree = 2\n" in best
@@ -357,6 +374,24 @@ class TestReproduce:
             assert (out / f"importance_{target}.csv").exists()
         stdout = capsys.readouterr().out
         assert re.search(r"seed \d+", stdout)
+
+    def test_data_path_gives_same_report(self, tmp_path, capsys):
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes(open(bundled_path(), "rb").read())
+        assert run_cli("reproduce", "--out", str(tmp_path / "bundled")) == 0
+        assert run_cli("reproduce", str(copy), "--out", str(tmp_path / "copy")) == 0
+        assert (tmp_path / "copy" / "repro_report.csv").read_bytes() == (
+            tmp_path / "bundled" / "repro_report.csv"
+        ).read_bytes()
+
+    def test_data_without_reference_test_mixture_exits_2(self, tmp_path, capsys):
+        lines = open(bundled_path(), encoding="utf-8").read().splitlines()
+        path = tmp_path / "no_c11.csv"
+        path.write_text("\n".join(l for l in lines if not l.startswith("C11,")) + "\n")
+        assert run_cli("reproduce", str(path), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "C11" in err
+        assert "Traceback" not in err
 
     def test_strict_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         from pervml import pipeline

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from pervml.data import Dataset, DatasetError, MixtureRecord, split
+from pervml.data import Dataset, DatasetError, MixtureRecord, SplitSpec, split
 from pervml.pipeline import (
-    RunConfig,
-    fit_scaler_for_mode,
     load_reference,
     resolve_split,
     run_model,
+    slices,
 )
 from pervml.svr import SvrParams
 from pervml.tuning import make_params
@@ -35,6 +34,16 @@ class TestResolveSplit:
         train, test = split(bundled, spec)
         assert len(train) == 22 and len(test) == 2
 
+    def test_ids_file_with_byte_order_mark(self, bundled, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("C11\nC12\n", encoding="utf-8")
+        bom = tmp_path / "bom.txt"
+        bom.write_text("C11\nC12\n", encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        spec = resolve_split(bundled, f"ids:{bom}")
+        assert spec == resolve_split(bundled, f"ids:{plain}")
+        assert spec.test_ids == frozenset({"C11", "C12"})
+
     def test_unknown_spec_rejected(self, bundled):
         with pytest.raises(DatasetError, match="unknown split"):
             resolve_split(bundled, "everything")
@@ -48,9 +57,8 @@ class TestScalerModes:
     def test_modes_coincide_on_reference_split(self, bundled, ref_split):
         # Every column extreme of the bundled table sits in a training row,
         # so full-table and train-only normalization agree here.
-        train_ds, _ = split(bundled, ref_split)
-        full = fit_scaler_for_mode(bundled, train_ds, "full")
-        train_only = fit_scaler_for_mode(bundled, train_ds, "train")
+        full, _, _ = slices(bundled, "density", ref_split, "full")
+        train_only, _, _ = slices(bundled, "density", ref_split, "train")
         for column in bundled.feature_names + bundled.target_names:
             assert full.column_range(column) == train_only.column_range(column)
 
@@ -60,22 +68,18 @@ class TestScalerModes:
             for i in range(6)
         )
         ds = Dataset(records)
-        from pervml.data import SplitSpec
-
         spec = SplitSpec(
             train_ids=frozenset(r.id for r in records[:-1]),
             test_ids=frozenset({records[-1].id}),
         )
-        train_ds, _ = split(ds, spec)
-        full = fit_scaler_for_mode(ds, train_ds, "full")
-        train_only = fit_scaler_for_mode(ds, train_ds, "train")
+        full, _, _ = slices(ds, "density", spec, "full")
+        train_only, _, _ = slices(ds, "density", spec, "train")
         assert full.column_range("cement") == (150.0, 200.0)
         assert train_only.column_range("cement") == (150.0, 190.0)
 
     def test_unknown_mode_rejected(self, bundled, ref_split):
-        train_ds, _ = split(bundled, ref_split)
         with pytest.raises(DatasetError, match="scaler mode"):
-            fit_scaler_for_mode(bundled, train_ds, "minmax")
+            slices(bundled, "density", ref_split, "minmax")
 
 
 class TestRunModel:
@@ -97,6 +101,17 @@ class TestRunModel:
         )
         assert again.model is first.model
         assert again.test_report.rmse == first.test_report.rmse
+
+    def test_empty_test_side(self, bundled):
+        spec = SplitSpec(train_ids=frozenset(bundled.ids), test_ids=frozenset())
+        with pytest.warns(UserWarning, match="empty test side"):
+            _, train, test = slices(bundled, "tensile", spec, "train")
+        assert test is None
+        assert train.ids == bundled.ids
+        with pytest.warns(UserWarning, match="empty test side"):
+            run = run_model(bundled, "tensile", "svr", SvrParams(), spec, "train")
+        assert run.test_report is None
+        assert {r[3] for r in run.rows} == {"train"}
 
     def test_unknown_target_rejected(self, bundled, ref_split):
         with pytest.raises(DatasetError, match="target"):

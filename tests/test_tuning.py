@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pervml import gbrt, svr
+from pervml import gbrt, svr, tuning
 from pervml.data import FEATURE_COLUMNS
 from pervml.metrics import mse
 from pervml.tuning import (
@@ -209,7 +209,7 @@ ORACLE_GRIDS = {
         "svr",
         {"C": (1.0, -1.0, 10.0), "epsilon": (0.1,), "kernel": ("rbf",), "gamma": (0.11,)},
     ),
-    # Degree 400 overflows the Gram matrix: a NaN fold score, listed first.
+    # Degree 400 overflows the Gram matrix: a failed fit, listed first.
     "nan_score_first": (
         "svr",
         {
@@ -225,7 +225,8 @@ ORACLE_GRIDS = {
 
 
 class TestSharedFitsMatchUnshared:
-    @pytest.mark.filterwarnings("ignore")  # nan_score_first overflows and hits the SMO cap
+    # nan_score_first's degree 2 hits the SMO cap at max_passes 50.
+    @pytest.mark.filterwarnings("ignore::pervml.svr.SvrConvergenceWarning")
     @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
     def test_results_identical(self, train_slices, name):
         family, axes = ORACLE_GRIDS[name]
@@ -261,16 +262,36 @@ class TestSharedFitsMatchUnshared:
 
 
 class TestNonFiniteRanking:
-    @pytest.mark.filterwarnings("ignore")  # degree 400 overflows and hits the SMO cap
+    # Degree 2 hits the SMO cap at max_passes 50.
+    @pytest.mark.filterwarnings("ignore::pervml.svr.SvrConvergenceWarning")
     def test_nan_score_ranks_after_finite(self, train_slices):
         family, axes = ORACLE_GRIDS["nan_score_first"]
         best, results = grid_search(
             train_slices["compressive"], HyperGrid(family=family, axes=axes), k=5, seed=42
         )
-        assert math.isnan(results[0].mean_mse)
-        assert results[0].error is None
+        assert results[0].error == (
+            "ValueError: polynomial kernel matrix is not finite (overflow)"
+        )
+        assert results[0].mean_mse == math.inf
         assert [r.rank for r in results] == [2, 1]
         assert best["degree"] == 2
+
+    def test_nan_mean_ranks_after_finite(self, train_slices, monkeypatch):
+        real_mse = tuning.mse
+        calls = []
+
+        def first_score_nan(y, prediction):
+            calls.append(None)
+            return math.nan if len(calls) == 1 else real_mse(y, prediction)
+
+        monkeypatch.setattr(tuning, "mse", first_score_nan)
+        grid = HyperGrid(family="svr", axes={"C": (1.0, 10.0), "gamma": (0.11,)})
+        best, results = grid_search(train_slices["compressive"], grid, k=5, seed=42)
+        assert math.isnan(results[0].mean_mse)
+        assert results[0].error is None
+        assert math.isfinite(results[1].mean_mse)
+        assert [r.rank for r in results] == [2, 1]
+        assert best["C"] == 10.0
 
     def test_nan_param_fails_and_ranks_last(self, train_slices):
         grid = HyperGrid(family="svr", axes={"C": (math.nan, 10.0)})
