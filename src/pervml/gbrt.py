@@ -22,12 +22,12 @@ recursive walk would, so sums over nodes keep their order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _kernels
-from .modelio import ModelIOError, check_finite, read_model, typed, write_model
+from .modelio import ModelIOError, check_fields, read_model, typed, write_model
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class GbrtParams:
     seed: int = 42
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.n_estimators < 0:
             raise ValueError("n_estimators must be >= 0")
         if self.max_depth < 0:
@@ -57,6 +57,11 @@ class GbrtParams:
             raise ValueError("subsample must be in (0, 1]")
         if not 0 < self.colsample_bytree <= 1:
             raise ValueError("colsample_bytree must be in (0, 1]")
+
+    def fit_key(self):
+        """(params of the fit, stage): n_estimators = k is stage k of a fit with
+        more trees and otherwise equal params (see `staged_predict`)."""
+        return replace(self, n_estimators=0), self.n_estimators
 
 
 @dataclass

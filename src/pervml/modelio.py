@@ -1,13 +1,16 @@
 """Model files (JSON text, exact float round-trip) and typed file fields:
 each parameter's type is declared once, on its params class, and read by
-`field_types`; `typed` checks every model-file value."""
+`field_types`; `typed` checks every model-file value and `check_fields`
+every params object."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import sys
+import types
 import typing
 
 FORMAT_VERSION = 1
@@ -72,18 +75,22 @@ def typed(value, kind, name: str):
     return kind(value)
 
 
-def field_types(params_cls) -> dict[str, type]:
+@functools.cache  # every params object is checked against it
+def field_types(params_cls) -> types.MappingProxyType:
     """Each field of a params dataclass and its declared type, in field order."""
     hints = typing.get_type_hints(params_cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(params_cls)}
+    return types.MappingProxyType({f.name: hints[f.name] for f in dataclasses.fields(params_cls)})
 
 
-def check_finite(params):
-    """Raise ValueError if any float field of a params dataclass is NaN or +-inf."""
-    for f in dataclasses.fields(params):
-        value = getattr(params, f.name)
+def check_fields(params):
+    """Raise ValueError if a field of a params dataclass declared int holds
+    anything but an int, or if a float field is NaN or +-inf."""
+    for name, kind in field_types(type(params)).items():
+        value = getattr(params, name)
+        if kind is int and type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def read_model(path, expected_type: str, build):

@@ -12,14 +12,20 @@ dropped from the model.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
-from .modelio import ModelIOError, check_finite, field_types, read_model, typed, write_model
+from .modelio import ModelIOError, check_fields, field_types, read_model, typed, write_model
 
-KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
+# The kernels, each with the SvrParams fields its formula reads.
+KERNEL_FIELDS = {
+    "linear": (),
+    "polynomial": ("gamma", "degree", "coef0"),
+    "rbf": ("gamma",),
+    "sigmoid": ("gamma", "coef0"),
+}
 
 
 class SvrConvergenceWarning(UserWarning):
@@ -38,19 +44,26 @@ class SvrParams:
     max_passes: int = 10_000
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.C <= 0:
             raise ValueError("C must be > 0")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if self.kernel not in KERNEL_KINDS:
-            raise ValueError(f"kernel must be one of {KERNEL_KINDS}")
+        if self.kernel not in KERNEL_FIELDS:
+            raise ValueError(f"kernel must be one of {tuple(KERNEL_FIELDS)}")
         if self.kernel == "rbf" and self.gamma <= 0:
             raise ValueError("gamma must be > 0 for the rbf kernel")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
         if self.max_passes < 1:
             raise ValueError("max_passes must be >= 1")
+
+    def fit_key(self):
+        """(params of the fit, stage 0): every kernel field this kernel never
+        reads is reset to its default, so the settings that fit one model agree."""
+        unread = {name for names in KERNEL_FIELDS.values() for name in names}
+        unread -= set(KERNEL_FIELDS[self.kernel])
+        return replace(self, **{name: getattr(SvrParams, name) for name in unread}), 0
 
 
 def gram_matrix(params: SvrParams, X1, X2) -> np.ndarray:
@@ -82,6 +95,10 @@ class SvrModel:
     n_features: int
     converged: bool = True
     n_iter: int = 0
+
+    def staged_predict(self, X) -> list[np.ndarray]:
+        """The one stage an SVR has: `predict`."""
+        return [self.predict(X)]
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -153,15 +170,13 @@ def fit(X, y, params: SvrParams, feature_names=None) -> SvrModel:
     )
 
 
-def kkt_violation(model: SvrModel, X, y, params: SvrParams | None = None) -> float:
+def kkt_violation(model: SvrModel, X, y) -> float:
     """Largest violation of the epsilon-optimality conditions on (X, y).
 
     Training rows are matched to support vectors by value to recover their
     coefficients (rows absent from the model have coefficient zero). The
     sum-to-zero equality residual is included in the maximum.
     """
-    if params is None:
-        params = model.params
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     coef_by_row: dict[bytes, list[float]] = {}
@@ -174,7 +189,7 @@ def kkt_violation(model: SvrModel, X, y, params: SvrParams | None = None) -> flo
             beta[i] = stack.pop(0)
 
     residual = model.predict(X) - y
-    C, eps = params.C, params.epsilon
+    C, eps = model.params.C, model.params.epsilon
     worst = abs(float(beta.sum()))
     for i in range(X.shape[0]):
         b, r = beta[i], residual[i]

@@ -66,6 +66,20 @@ def test_every_float_param_rejects_non_finite(params_cls):
                 params_cls(**{name: bad})
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: gbrt.GbrtParams(n_estimators=2.5), "n_estimators must be an integer, got 2.5"),
+        (lambda: gbrt.GbrtParams(n_estimators=3.0), "n_estimators must be an integer, got 3.0"),
+        (lambda: svr.SvrParams(degree=2.0), "degree must be an integer, got 2.0"),
+        (lambda: svr.SvrParams(max_passes=50.0), "max_passes must be an integer, got 50.0"),
+    ],
+)
+def test_int_params_reject_non_integers(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
 def test_field_types_follow_the_declarations():
     assert field_types(svr.SvrParams) == {
         "C": float, "epsilon": float, "kernel": str, "gamma": float,

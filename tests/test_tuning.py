@@ -209,6 +209,18 @@ ORACLE_GRIDS = {
         "svr",
         {"C": (1.0, -1.0, 10.0), "epsilon": (0.1,), "kernel": ("rbf",), "gamma": (0.11,)},
     ),
+    # Linear reads no kernel field, so its 16 combinations share one fit;
+    # rbf at gamma 0.0 fails alone; int 1 and float 1.0 never share a fit.
+    "mixed_kernels": (
+        "svr",
+        {
+            "kernel": ("linear", "polynomial", "rbf", "sigmoid"),
+            "gamma": (0.0, 0.5, 1, 1.0),
+            "coef0": (0.0, -0.0),
+            "degree": (2, 3),
+            "max_passes": (50,),
+        },
+    ),
     # Degree 400 overflows the Gram matrix: a failed fit, listed first.
     "nan_score_first": (
         "svr",
@@ -225,7 +237,7 @@ ORACLE_GRIDS = {
 
 
 class TestSharedFitsMatchUnshared:
-    # nan_score_first's degree 2 hits the SMO cap at max_passes 50.
+    # nan_score_first and mixed_kernels hit the SMO cap at max_passes 50.
     @pytest.mark.filterwarnings("ignore::pervml.svr.SvrConvergenceWarning")
     @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
     def test_results_identical(self, train_slices, name):
@@ -251,14 +263,23 @@ class TestSharedFitsMatchUnshared:
         grid_search(train_slices["density"], grid, k=5, seed=42)
         assert calls[0] == 2 * 5  # not 8 combinations x 5 folds
 
-    def test_one_svr_fit_per_combination_and_fold(self, train_slices, monkeypatch):
-        grid = HyperGrid(
-            family="svr",
-            axes={"C": (1.0, 1.0, 10.0), "epsilon": (0.1,), "kernel": ("rbf",)},
-        )
+    # mixed_kernels hits the SMO cap at max_passes 50.
+    @pytest.mark.filterwarnings("ignore::pervml.svr.SvrConvergenceWarning")
+    @pytest.mark.parametrize(
+        "axes, fit_keys",
+        [
+            # linear ignores gamma: 2 + 4 keys, not 8 combinations
+            ({"kernel": ("linear", "rbf"), "gamma": (0.1, 0.5), "C": (1.0, 10.0)}, 2 + 4),
+            # linear 1; polynomial 4 gammas x 2 coef0 x 2 degrees; rbf 3 (gamma
+            # 0.0 fails before fitting); sigmoid 4 gammas x 2 coef0
+            (ORACLE_GRIDS["mixed_kernels"][1], 1 + 16 + 3 + 8),
+        ],
+        ids=["linear_rbf", "mixed_kernels"],
+    )
+    def test_one_svr_fit_per_fit_key_and_fold(self, train_slices, monkeypatch, axes, fit_keys):
         calls = count_fits(monkeypatch, svr)
-        grid_search(train_slices["density"], grid, k=5, seed=42)
-        assert calls[0] == 3 * 5
+        grid_search(train_slices["density"], HyperGrid(family="svr", axes=axes), k=5, seed=42)
+        assert calls[0] == fit_keys * 5
 
 
 class TestNonFiniteRanking:
