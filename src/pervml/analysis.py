@@ -15,13 +15,12 @@ from .metrics import UndefinedCorrelationError, pearson
 class SensitivityTable:
     """Correlation of each mix input (row) with each output property (column).
 
-    Entries for constant columns are NaN and listed in `undefined`.
+    Entries for constant columns are NaN.
     """
 
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     values: np.ndarray  # (len(inputs), len(outputs))
-    undefined: tuple[tuple[str, str], ...] = ()
 
     def value(self, input_name: str, output_name: str) -> float:
         return float(
@@ -38,19 +37,16 @@ def sensitivity_table(ds: Dataset) -> SensitivityTable:
     if len(ds) < 2:
         raise ValueError("need at least 2 records")
     values = np.empty((len(FEATURE_COLUMNS), len(TARGET_COLUMNS)))
-    undefined = []
     for i, feat in enumerate(FEATURE_COLUMNS):
         for j, targ in enumerate(TARGET_COLUMNS):
             try:
                 values[i, j] = pearson(ds.column(feat), ds.column(targ))
             except UndefinedCorrelationError:
                 values[i, j] = np.nan
-                undefined.append((feat, targ))
     return SensitivityTable(
         inputs=FEATURE_COLUMNS,
         outputs=TARGET_COLUMNS,
         values=values,
-        undefined=tuple(undefined),
     )
 
 

@@ -134,14 +134,14 @@ def _run(args, family: str, model=None):
     """Fit (unless `model` is given) and evaluate one model as `args` say:
     the --params file, or the published setting for --target."""
     ds = _load(args)
-    spec = resolve_split(ds, args.split)
+    test_ids = resolve_split(ds, args.split)
     if model is not None:
         params = None
     elif args.params:
         params = make_params(family, read_params_file(args.params, family), seed=args.seed)
     else:
         params = published_params(family, args.target, args.seed)
-    return run_model(ds, args.target, family, params, spec, args.scaler, model=model)
+    return run_model(ds, args.target, family, params, test_ids, args.scaler, model=model)
 
 
 def _print_report(label: str, report: EvalReport | None):
@@ -275,11 +275,10 @@ def cmd_reproduce(args) -> int:
         write_importance_csv(os.path.join(out, f"importance_{target}.csv"), imp)
 
     print(f"seed {args.seed}, scaler mode {args.scaler}")
-    for row in report.rows:
-        test = row.report["test"]
-        ref_rmse = row.reference["test"]["rmse"]
+    for (family, target), run in report.runs.items():
+        ref_rmse = report.reference[family][target]["test"]["rmse"]
         print(
-            f"{row.family}_{row.target}: test RMSE {test.rmse:.4f} "
+            f"{family}_{target}: test RMSE {run.test_report.rmse:.4f} "
             f"(reference {ref_rmse:.4f})"
         )
     print(f"gbrt beats svr on test RMSE for {report.rmse_wins}/4 targets")

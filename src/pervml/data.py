@@ -1,4 +1,7 @@
-"""Pervious concrete mixture data: CSV ingestion, statistics, scaling, splits."""
+"""Pervious concrete mixture data: CSV ingestion, statistics, scaling, splits.
+
+A split is the frozenset of its test mixture ids; every other id trains.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +10,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
-from typing import ClassVar
 
 import numpy as np
 
@@ -72,8 +74,6 @@ class Dataset:
     """An ordered collection of mixtures with unique ids."""
 
     records: tuple[MixtureRecord, ...]
-    feature_names: ClassVar[tuple[str, ...]] = FEATURE_COLUMNS
-    target_names: ClassVar[tuple[str, ...]] = TARGET_COLUMNS
 
     def __post_init__(self):
         seen = set()
@@ -99,14 +99,6 @@ class Dataset:
         """Records whose id is in `ids`, preserving this dataset's order."""
         wanted = set(ids)
         return Dataset(tuple(rec for rec in self.records if rec.id in wanted))
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """A train/test partition by mixture id."""
-
-    train_ids: frozenset
-    test_ids: frozenset
 
 
 @dataclass(frozen=True)
@@ -257,44 +249,32 @@ def fit_scaler(ds: Dataset) -> Scaler:
     return Scaler({name: (float(c.min()), float(c.max())) for name, c in columns.items()})
 
 
-def reference_split(ds: Dataset) -> SplitSpec:
-    """The originating study's 19/5 train/test partition."""
+def reference_split(ds: Dataset) -> frozenset:
+    """Test ids of the originating study's 19/5 train/test partition."""
     missing = REFERENCE_TEST_IDS - set(ds.ids)
     if missing:
         raise DatasetError(
             f"dataset lacks reference test mixture(s) {sorted(missing)}"
         )
-    return SplitSpec(
-        train_ids=frozenset(set(ds.ids) - REFERENCE_TEST_IDS),
-        test_ids=REFERENCE_TEST_IDS,
-    )
+    return REFERENCE_TEST_IDS
 
 
-def random_split(ds: Dataset, seed: int, test_fraction: float = 0.2) -> SplitSpec:
-    """Seeded shuffle split; test size is round(test_fraction * n)."""
-    rng = np.random.default_rng(seed)
-    ids = list(ds.ids)
-    order = rng.permutation(len(ids))
-    n_test = int(round(test_fraction * len(ids)))
-    test = frozenset(ids[i] for i in order[:n_test])
-    return SplitSpec(train_ids=frozenset(ids) - test, test_ids=test)
+def random_split(ds: Dataset, seed: int) -> frozenset:
+    """Test ids of a seeded shuffle split: round(0.2 * n) mixtures."""
+    ids = ds.ids
+    order = np.random.default_rng(seed).permutation(len(ids))
+    return frozenset(ids[i] for i in order[: round(0.2 * len(ids))])
 
 
-def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Partition `ds` per `spec`. Both sides preserve dataset order."""
-    all_ids = set(ds.ids)
-    for label, side in (("train", spec.train_ids), ("test", spec.test_ids)):
-        unknown = set(side) - all_ids
-        if unknown:
-            raise DatasetError(f"unknown {label} id(s): {sorted(unknown)}")
-    overlap = set(spec.train_ids) & set(spec.test_ids)
-    if overlap:
-        raise DatasetError(f"ids in both train and test: {sorted(overlap)}")
-    uncovered = all_ids - set(spec.train_ids) - set(spec.test_ids)
-    if uncovered:
-        raise DatasetError(f"ids in neither train nor test: {sorted(uncovered)}")
-    if not spec.test_ids:
+def split(ds: Dataset, test_ids: frozenset) -> tuple[Dataset, Dataset]:
+    """The (train, test) sides of `ds`, each in dataset order. A split with no
+    training mixture is an error; one with no test mixture warns."""
+    unknown = set(test_ids) - set(ds.ids)
+    if unknown:
+        raise DatasetError(f"unknown test id(s): {sorted(unknown)}")
+    train_ids = set(ds.ids) - test_ids
+    if not train_ids:
+        raise DatasetError("split leaves no training mixtures")
+    if not test_ids:
         warnings.warn("split has an empty test side", stacklevel=2)
-    if not spec.train_ids:
-        warnings.warn("split has an empty train side", stacklevel=2)
-    return ds.subset(spec.train_ids), ds.subset(spec.test_ids)
+    return ds.subset(train_ids), ds.subset(test_ids)

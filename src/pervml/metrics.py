@@ -94,10 +94,6 @@ class EvalReport:
     mape: float
     n: int
 
-    @property
-    def r2_defined(self) -> bool:
-        return self.r2 is not None
-
 
 def evaluate_all(y, y_hat) -> EvalReport:
     y, y_hat = _pair(y, y_hat)

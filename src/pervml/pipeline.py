@@ -21,7 +21,6 @@ from .data import (
     Dataset,
     DatasetError,
     Scaler,
-    SplitSpec,
     fit_scaler,
     random_split,
     reference_split,
@@ -55,13 +54,15 @@ def published_params(family: str, target: str, seed: int):
     return make_params(family, setting, seed=seed)
 
 
-def resolve_split(ds: Dataset, spec_text: str) -> SplitSpec:
-    """Parse a --split argument into a concrete id partition."""
+def resolve_split(ds: Dataset, spec_text: str) -> frozenset:
+    """The split that a --split argument names, as its test ids."""
     if spec_text == "paper":
         return reference_split(ds)
     if spec_text.startswith("random:"):
         try:
             seed = int(spec_text.split(":", 1)[1])
+            if seed < 0:
+                raise ValueError
         except ValueError:
             raise DatasetError(f"bad random split seed in {spec_text!r}") from None
         return random_split(ds, seed)
@@ -69,31 +70,28 @@ def resolve_split(ds: Dataset, spec_text: str) -> SplitSpec:
         path = spec_text.split(":", 1)[1]
         try:
             with open(path, encoding="utf-8-sig") as fh:
-                test_ids = frozenset(
+                return frozenset(
                     line.strip()
                     for line in fh
                     if line.strip() and not line.startswith("#")
                 )
         except OSError as exc:
             raise DatasetError(f"cannot read split id file {path}: {exc}") from exc
-        return SplitSpec(
-            train_ids=frozenset(set(ds.ids) - test_ids), test_ids=test_ids
-        )
     raise DatasetError(
         f"unknown split spec {spec_text!r}; use paper, random:<seed> or ids:<file>"
     )
 
 
 def slices(
-    ds: Dataset, target: str, spec: SplitSpec, scaler_mode: str
+    ds: Dataset, target: str, test_ids: frozenset, scaler_mode: str
 ) -> tuple[Scaler, TargetSlice, TargetSlice | None]:
-    """Split `ds` by `spec`, fit the scaler on the whole table (`scaler_mode`
+    """Split `ds` at `test_ids`, fit the scaler on the whole table (`scaler_mode`
     "full") or on the training side ("train"), and return it with the
     normalized train slice for `target` and the test slice, or None when the
     test side is empty."""
     if target not in TARGET_COLUMNS:
         raise DatasetError(f"unknown target {target!r}; expected one of {TARGET_COLUMNS}")
-    train_ds, test_ds = split(ds, spec)
+    train_ds, test_ds = split(ds, test_ids)
     if scaler_mode not in ("full", "train"):
         raise DatasetError(f"unknown scaler mode {scaler_mode!r}; use full or train")
     scaler = fit_scaler(ds if scaler_mode == "full" else train_ds)
@@ -105,9 +103,6 @@ def slices(
 class ModelRun:
     """One trained model on one target, evaluated in physical units."""
 
-    family: str
-    target: str
-    params: object
     model: object
     train_report: EvalReport
     test_report: EvalReport | None
@@ -130,12 +125,12 @@ def run_model(
     target: str,
     family: str,
     params,
-    split_spec: SplitSpec,
+    test_ids: frozenset,
     scaler_mode: str = "full",
     model=None,
 ) -> ModelRun:
     """Normalize, split, fit (unless a model is given), evaluate both phases."""
-    scaler, train, test = slices(ds, target, split_spec, scaler_mode)
+    scaler, train, test = slices(ds, target, test_ids, scaler_mode)
     if model is None:
         model = fit_model(family, train.X, train.y, params, FEATURE_COLUMNS)
 
@@ -146,36 +141,21 @@ def run_model(
         rows = rows + test_rows
     order = {mid: i for i, mid in enumerate(ds.ids)}
     rows.sort(key=lambda r: order[r[0]])
-    return ModelRun(
-        family=family,
-        target=target,
-        params=params,
-        model=model,
-        train_report=train_report,
-        test_report=test_report,
-        rows=rows,
-    )
+    return ModelRun(model, train_report, test_report, rows)
 
 
-@dataclass
-class ReproRow:
-    family: str
-    target: str
-    report: dict[str, EvalReport]  # phase -> metrics
-    reference: dict[str, dict[str, float]]  # phase -> metric -> value
-
-    def deviation(self, phase: str, metric: str) -> tuple[float, float]:
-        got = getattr(self.report[phase], metric)
-        ref = self.reference[phase][metric]
-        if got is None:
-            return math.nan, math.nan
-        return got - ref, (got - ref) / abs(ref)
+def deviation(got: float | None, ref: float) -> tuple[float, float]:
+    """Absolute and relative deviation of `got` from `ref`; NaN when `got` is
+    undefined."""
+    if got is None:
+        return math.nan, math.nan
+    return got - ref, (got - ref) / abs(ref)
 
 
 @dataclass
 class ReproReport:
-    rows: list[ReproRow]
-    runs: dict[tuple[str, str], ModelRun]
+    runs: dict[tuple[str, str], ModelRun]  # (family, target) -> run
+    reference: dict  # the `results` section of reference_results.json
     importances: dict[str, ImportanceReport]
     rmse_wins: int
     cement_mean_rank_wins: int
@@ -196,25 +176,15 @@ def reproduce(ds: Dataset, scaler_mode: str = "full", seed: int = REPRO_SEED) ->
     feeds only the model internals (row/column subsampling), never the
     partition.
     """
-    spec = reference_split(ds)
+    test_ids = reference_split(ds)
     ref = load_reference()
 
-    rows: list[ReproRow] = []
     runs: dict[tuple[str, str], ModelRun] = {}
     importances: dict[str, ImportanceReport] = {}
     for target in TARGET_COLUMNS:
         for family in FAMILIES:
             params = published_params(family, target, seed)
-            run = run_model(ds, target, family, params, spec, scaler_mode)
-            runs[(family, target)] = run
-            rows.append(
-                ReproRow(
-                    family=family,
-                    target=target,
-                    report={"train": run.train_report, "test": run.test_report},
-                    reference=ref["results"][family][target],
-                )
-            )
+            runs[(family, target)] = run_model(ds, target, family, params, test_ids, scaler_mode)
         importances[target] = importance(runs[("gbrt", target)].model)
 
     bands = ref["bands"]
@@ -251,7 +221,7 @@ def reproduce(ds: Dataset, scaler_mode: str = "full", seed: int = REPRO_SEED) ->
         for target in TARGET_COLUMNS
         if importances[target].best_feature_by_mean_rank() == "cement"
     )
-    cement_idx = 1  # position of cement in FEATURE_COLUMNS
+    cement_idx = FEATURE_COLUMNS.index("cement")
     cement_gain_rank1_wins = sum(
         1
         for target in TARGET_COLUMNS
@@ -270,8 +240,8 @@ def reproduce(ds: Dataset, scaler_mode: str = "full", seed: int = REPRO_SEED) ->
         )
 
     return ReproReport(
-        rows=rows,
         runs=runs,
+        reference=ref["results"],
         importances=importances,
         rmse_wins=rmse_wins,
         cement_mean_rank_wins=cement_mean_rank_wins,
@@ -339,10 +309,13 @@ def write_repro_csv(path, report: ReproReport):
     pairs = [(phase, metric) for phase in PHASES for metric in METRIC_FIELDS]
     header = ["model", "family", "target", *(f"{p}_{m}" for p, m in pairs)]
     header += [f"{pre}_{p}_{m}" for p, m in pairs for pre in ("ref", "dev_abs", "dev_rel")]
-    rows = (
-        [f"{row.family}_{row.target}", row.family, row.target]
-        + [getattr(row.report[p], m) for p, m in pairs]
-        + [v for p, m in pairs for v in (row.reference[p][m], *row.deviation(p, m))]
-        for row in report.rows
-    )
+    rows = []
+    for (family, target), run in report.runs.items():
+        reports = {"train": run.train_report, "test": run.test_report}
+        got = [getattr(reports[p], m) for p, m in pairs]
+        ref = [report.reference[family][target][p][m] for p, m in pairs]
+        rows.append(
+            [f"{family}_{target}", family, target, *got]
+            + [v for g, r in zip(got, ref) for v in (r, *deviation(g, r))]
+        )
     _write_csv(path, header, rows)

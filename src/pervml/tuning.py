@@ -62,7 +62,8 @@ FAMILIES = {
 
 @dataclass(frozen=True)
 class TargetSlice:
-    """Feature matrix plus one target vector for a set of mixtures."""
+    """Normalized feature matrix (columns in FEATURE_COLUMNS order) plus one
+    target vector for a set of mixtures; `target_slice` builds one."""
 
     ids: tuple[str, ...]
     X: np.ndarray
@@ -139,10 +140,6 @@ def fit_model(family: str, X, y, params, feature_names=None):
     return _family(family).module.fit(X, y, params, feature_names=feature_names)
 
 
-def _feature_names(X):
-    return FEATURE_COLUMNS if X.shape[1] == len(FEATURE_COLUMNS) else None
-
-
 def kfold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
     """Seeded shuffle, then contiguous folds whose sizes differ by at most 1."""
     if k < 2:
@@ -215,13 +212,14 @@ def _score_group(train: TargetSlice, family: str, folds, members):
     stages = [stage for _, _, stage in members]
     params = members[stages.index(max(stages))][1]
     n = train.y.shape[0]
-    names = _feature_names(train.X)
     scores: list[list[float]] = [[] for _ in members]
     try:
         for fold in folds:
             holdout = np.zeros(n, dtype=bool)
             holdout[fold] = True
-            model = fit_model(family, train.X[~holdout], train.y[~holdout], params, names)
+            model = fit_model(
+                family, train.X[~holdout], train.y[~holdout], params, FEATURE_COLUMNS
+            )
             X_hold, y_hold = train.X[holdout], train.y[holdout]
             for stage, prediction in enumerate(model.staged_predict(X_hold)):
                 for member, member_stage in enumerate(stages):
@@ -239,7 +237,7 @@ def _score_group(train: TargetSlice, family: str, folds, members):
 def refit_best(train: TargetSlice, family: str, combination: dict, seed: int = 42):
     """One final fit of the winning combination on the whole training slice."""
     params = make_params(family, combination, seed=seed)
-    return fit_model(family, train.X, train.y, params, _feature_names(train.X))
+    return fit_model(family, train.X, train.y, params, FEATURE_COLUMNS)
 
 
 def default_grid(family: str) -> HyperGrid:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pervml.data import fit_scaler, load_bundled, reference_split, split
+from pervml.data import TARGET_COLUMNS, fit_scaler, load_bundled, reference_split, split
 from pervml.pipeline import reproduce
 from pervml.tuning import target_slice
 
@@ -27,12 +27,12 @@ def full_scaler(bundled):
 
 
 @pytest.fixture(scope="session")
-def train_slices(bundled, train_test, full_scaler):
+def train_slices(train_test, full_scaler):
     """Normalized training slices for each target, reference split."""
     train_ds, _ = train_test
     return {
         target: target_slice(train_ds, target, full_scaler)
-        for target in bundled.target_names
+        for target in TARGET_COLUMNS
     }
 
 

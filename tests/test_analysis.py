@@ -8,7 +8,7 @@ from pervml.analysis import (
     pearson,
     sensitivity_table,
 )
-from pervml.data import Dataset
+from pervml.data import FEATURE_COLUMNS, Dataset
 from pervml.gbrt import GbrtParams, Tree, TreeEnsemble, fit
 
 from test_gbrt import leaf_tree
@@ -128,13 +128,13 @@ class TestImportance:
         np.testing.assert_array_equal(report.gain, [0, 0])
         np.testing.assert_array_equal(report.weight, [0, 0])
 
-    def test_ranks_are_permutations(self, train_slices, bundled):
+    def test_ranks_are_permutations(self, train_slices):
         train = train_slices["compressive"]
         model = fit(
             train.X,
             train.y,
             GbrtParams(n_estimators=12, max_depth=4, seed=2),
-            feature_names=bundled.feature_names,
+            feature_names=FEATURE_COLUMNS,
         )
         report = importance(model)
         d = len(report.features)
@@ -143,13 +143,13 @@ class TestImportance:
         assert np.all(report.mean_rank >= 1.0)
         assert np.all(report.mean_rank <= d)
 
-    def test_weight_totals_equal_internal_nodes(self, train_slices, bundled):
+    def test_weight_totals_equal_internal_nodes(self, train_slices):
         train = train_slices["porosity"]
         model = fit(
             train.X,
             train.y,
             GbrtParams(n_estimators=9, max_depth=3, seed=4),
-            feature_names=bundled.feature_names,
+            feature_names=FEATURE_COLUMNS,
         )
         total = sum(f >= 0 for tree in model.trees for f in tree.feature)
         report = importance(model)

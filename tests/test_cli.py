@@ -1,6 +1,8 @@
 import csv
 import json
 import re
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +101,23 @@ class TestTrain:
         assert "polynomial kernel matrix is not finite (overflow)" in err
         assert "Traceback" not in err
         assert not (out / "model_svr_compressive.json").exists()
+
+
+class TestSplitErrors:
+    @pytest.mark.parametrize(
+        "argv", [("train",), ("train", "--scaler", "train"), ("tune",)], ids=" ".join
+    )
+    def test_no_training_mixtures_exits_2(self, tmp_path, capsys, argv):
+        ids = tmp_path / "all_ids.txt"
+        ids.write_text("".join(f"C{i}\n" for i in range(1, 25)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(*argv, "--split", f"ids:{ids}", "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "split leaves no training mixtures" in err
+        assert "UserWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, UserWarning)]
 
 
 class TestSettingsFiles:
@@ -411,3 +430,27 @@ class TestReproduce:
     def test_strict_passes_with_shipped_bands(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("reproduce", "--strict", "--out", str(out)) == 0
+
+
+class TestReadme:
+    def test_evaluate_model_file_needs_its_family(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("train", "--target", "tensile", "--model", "svr", "--out", str(out)) == 0
+        model_file = str(out / "model_svr_tensile.json")
+        capsys.readouterr()
+        rc = run_cli(
+            "evaluate", "--target", "tensile", "--model-file", model_file, "--out", str(out)
+        )
+        assert rc == 2
+        assert "model_type 'svr', expected 'gbrt'" in capsys.readouterr().err
+        rc = run_cli(
+            "evaluate", "--target", "tensile", "--model", "svr", "--model-file", model_file,
+            "--out", str(out),
+        )
+        assert rc == 0
+
+    def test_library_example_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.startswith("EvalReport(r2=")

@@ -12,7 +12,6 @@ from pervml.data import (
     Dataset,
     DatasetError,
     MixtureRecord,
-    SplitSpec,
     bundled_path,
     describe,
     fit_scaler,
@@ -180,33 +179,20 @@ class TestSplit:
         assert not set(train.ids) & set(test.ids)
 
     def test_unknown_id_rejected(self, bundled):
-        spec = SplitSpec(
-            train_ids=frozenset(bundled.ids), test_ids=frozenset({"C99"})
-        )
         with pytest.raises(DatasetError, match="C99"):
-            split(bundled, spec)
-
-    def test_overlap_rejected(self, bundled):
-        spec = SplitSpec(
-            train_ids=frozenset(bundled.ids), test_ids=frozenset({"C1"})
-        )
-        with pytest.raises(DatasetError, match="both train and test"):
-            split(bundled, spec)
-
-    def test_uncovered_id_rejected(self, bundled):
-        spec = SplitSpec(
-            train_ids=frozenset(set(bundled.ids) - {"C1", "C2"}),
-            test_ids=frozenset({"C1"}),
-        )
-        with pytest.raises(DatasetError, match="neither"):
-            split(bundled, spec)
+            split(bundled, frozenset({"C99"}))
 
     def test_empty_test_side_warns(self, bundled):
-        spec = SplitSpec(train_ids=frozenset(bundled.ids), test_ids=frozenset())
         with pytest.warns(UserWarning, match="empty test"):
-            train, test = split(bundled, spec)
+            train, test = split(bundled, frozenset())
         assert len(train) == 24
         assert len(test) == 0
+
+    def test_empty_train_side_rejected(self, bundled):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError, match="split leaves no training mixtures"):
+                split(bundled, frozenset(bundled.ids))
 
     def test_order_stable(self, bundled, train_test):
         train, _ = train_test

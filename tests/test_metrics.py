@@ -133,7 +133,6 @@ class TestEvaluateAll:
     def test_constant_predictions_flagged(self):
         report = evaluate_all([1.0, 2.0, 3.0], [2.0, 2.0, 2.0])
         assert report.r2 is None
-        assert not report.r2_defined
         assert report.rmse > 0
         assert report.mae > 0
 

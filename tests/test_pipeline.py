@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from pervml.data import Dataset, DatasetError, MixtureRecord, SplitSpec, split
+from pervml.data import (
+    FEATURE_COLUMNS,
+    TARGET_COLUMNS,
+    Dataset,
+    DatasetError,
+    MixtureRecord,
+    split,
+)
 from pervml.pipeline import (
+    deviation,
     load_reference,
     resolve_split,
     run_model,
@@ -14,8 +22,8 @@ from pervml.tuning import make_params
 
 class TestResolveSplit:
     def test_published_preset(self, bundled):
-        spec = resolve_split(bundled, "paper")
-        assert spec.test_ids == frozenset({"C11", "C12", "C15", "C21", "C23"})
+        test_ids = resolve_split(bundled, "paper")
+        assert test_ids == frozenset({"C11", "C12", "C15", "C21", "C23"})
 
     def test_random_split_is_seeded_80_20(self, bundled):
         a = resolve_split(bundled, "random:3")
@@ -23,15 +31,14 @@ class TestResolveSplit:
         c = resolve_split(bundled, "random:4")
         assert a == b
         assert a != c
-        assert len(a.test_ids) == 5
-        assert len(a.train_ids) == 19
+        assert a == {"C1", "C13", "C14", "C16", "C24"}
 
     def test_ids_file(self, bundled, tmp_path):
         path = tmp_path / "test_ids.txt"
         path.write_text("# held-out mixtures\nC1\nC2\n")
-        spec = resolve_split(bundled, f"ids:{path}")
-        assert spec.test_ids == frozenset({"C1", "C2"})
-        train, test = split(bundled, spec)
+        test_ids = resolve_split(bundled, f"ids:{path}")
+        assert test_ids == frozenset({"C1", "C2"})
+        train, test = split(bundled, test_ids)
         assert len(train) == 22 and len(test) == 2
 
     def test_ids_file_with_byte_order_mark(self, bundled, tmp_path):
@@ -40,17 +47,18 @@ class TestResolveSplit:
         bom = tmp_path / "bom.txt"
         bom.write_text("C11\nC12\n", encoding="utf-8-sig")
         assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
-        spec = resolve_split(bundled, f"ids:{bom}")
-        assert spec == resolve_split(bundled, f"ids:{plain}")
-        assert spec.test_ids == frozenset({"C11", "C12"})
+        test_ids = resolve_split(bundled, f"ids:{bom}")
+        assert test_ids == resolve_split(bundled, f"ids:{plain}")
+        assert test_ids == frozenset({"C11", "C12"})
 
     def test_unknown_spec_rejected(self, bundled):
         with pytest.raises(DatasetError, match="unknown split"):
             resolve_split(bundled, "everything")
 
     def test_bad_random_seed_rejected(self, bundled):
-        with pytest.raises(DatasetError, match="seed"):
-            resolve_split(bundled, "random:abc")
+        for spec_text in ("random:abc", "random:-1"):
+            with pytest.raises(DatasetError, match=f"bad random split seed in '{spec_text}'"):
+                resolve_split(bundled, spec_text)
 
 
 class TestScalerModes:
@@ -59,7 +67,7 @@ class TestScalerModes:
         # so full-table and train-only normalization agree here.
         full, _, _ = slices(bundled, "density", ref_split, "full")
         train_only, _, _ = slices(bundled, "density", ref_split, "train")
-        for column in bundled.feature_names + bundled.target_names:
+        for column in FEATURE_COLUMNS + TARGET_COLUMNS:
             assert full.column_range(column) == train_only.column_range(column)
 
     def test_modes_differ_when_extreme_is_held_out(self):
@@ -68,12 +76,9 @@ class TestScalerModes:
             for i in range(6)
         )
         ds = Dataset(records)
-        spec = SplitSpec(
-            train_ids=frozenset(r.id for r in records[:-1]),
-            test_ids=frozenset({records[-1].id}),
-        )
-        full, _, _ = slices(ds, "density", spec, "full")
-        train_only, _, _ = slices(ds, "density", spec, "train")
+        test_ids = frozenset({records[-1].id})
+        full, _, _ = slices(ds, "density", test_ids, "full")
+        train_only, _, _ = slices(ds, "density", test_ids, "train")
         assert full.column_range("cement") == (150.0, 200.0)
         assert train_only.column_range("cement") == (150.0, 190.0)
 
@@ -103,13 +108,12 @@ class TestRunModel:
         assert again.test_report.rmse == first.test_report.rmse
 
     def test_empty_test_side(self, bundled):
-        spec = SplitSpec(train_ids=frozenset(bundled.ids), test_ids=frozenset())
         with pytest.warns(UserWarning, match="empty test side"):
-            _, train, test = slices(bundled, "tensile", spec, "train")
+            _, train, test = slices(bundled, "tensile", frozenset(), "train")
         assert test is None
         assert train.ids == bundled.ids
         with pytest.warns(UserWarning, match="empty test side"):
-            run = run_model(bundled, "tensile", "svr", SvrParams(), spec, "train")
+            run = run_model(bundled, "tensile", "svr", SvrParams(), frozenset(), "train")
         assert run.test_report is None
         assert {r[3] for r in run.rows} == {"train"}
 
@@ -143,10 +147,13 @@ class TestReference:
 
 class TestReproReport:
     def test_eight_rows_and_deviations(self, repro_report):
-        assert len(repro_report.rows) == 8
-        for row in repro_report.rows:
-            dev_abs, dev_rel = row.deviation("test", "rmse")
+        assert len(repro_report.runs) == 8
+        for (family, target), run in repro_report.runs.items():
+            ref = repro_report.reference[family][target]["test"]["rmse"]
+            dev_abs, dev_rel = deviation(run.test_report.rmse, ref)
             assert np.isfinite(dev_abs) and np.isfinite(dev_rel)
+            assert dev_abs == run.test_report.rmse - ref
+        assert all(np.isnan(deviation(None, 1.0)))
 
     def test_default_config_passes_bands(self, repro_report):
         assert repro_report.passed
