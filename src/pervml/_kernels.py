@@ -1,9 +1,12 @@
 """Hot numeric kernels: exact-greedy split search and the SMO dual solver.
 
-Both are plain scalar loops over numpy arrays. At the study's sizes (tree
-nodes of a few to 19 rows, 19-row Gram matrices) a vectorised split scan
-measured no faster than this one, so these loops are the only
-implementation.
+Both are plain scalar loops on Python floats. Each kernel turns its numpy
+inputs into lists once per call with `.tolist()`: at the study's sizes
+(tree nodes of a few to 19 rows, 19-row Gram matrices) reading one element
+of a numpy array creates a numpy scalar, which costs more than the
+arithmetic it feeds. Python floats are IEEE doubles like float64, so these
+loops return, bit for bit, what the same loops return on numpy scalars;
+the tests keep those as oracles. These loops are the only implementation.
 """
 
 from __future__ import annotations
@@ -17,46 +20,53 @@ NUMBA_ENABLED = False
 def best_split_kernel(xt, g, reg_lambda, reg_alpha, gamma):
     """Scan every (column, midpoint) candidate and return the best split.
 
-    xt: (n_cols, n_rows) array, one candidate feature per row, C order.
-    g: per-sample gradient. Under squared error every hessian is 1, so a
-    side's hessian sum in the second-order gain is its row count.
+    xt: (n_cols, n_rows) array, one candidate feature per row.
+    g: per-sample gradient array. Under squared error every hessian is 1,
+    so a side's hessian sum in the second-order gain is its row count.
     Returns (gain, column index into xt, threshold); column is -1 when no
     candidate exists (all columns constant). Ties keep the first candidate
     in (column, ascending threshold) order, so callers must pass columns in
-    ascending original-feature order.
+    ascending original-feature order. Rows are ordered by a stable sort, so
+    equal values (0.0 and -0.0 among them) keep their row order.
     """
-    n_cols, n = xt.shape
+    n = xt.shape[1]
+    g = g.tolist()
     total_g = 0.0
-    for i in range(n):
-        total_g += g[i]
+    for gi in g:
+        total_g += gi
     total_h = float(n)
+    # hl and hr are whole numbers, so hl + hr is exactly total_h at every
+    # candidate and the parent's denominator is one number.
+    parent_den = total_h + reg_lambda
 
     best_gain = -np.inf
     best_col = -1
     best_thr = 0.0
-    for j in range(n_cols):
-        col = xt[j]
-        order = np.argsort(col, kind="mergesort")
+    for j, col in enumerate(xt.tolist()):
+        order = sorted(range(n), key=col.__getitem__)
+        xs = [col[k] for k in order]
         gl = 0.0
-        for pos in range(n - 1):
-            idx = order[pos]
-            gl += g[idx]
-            v = col[idx]
-            v_next = col[order[pos + 1]]
+        for pos, (k, v, v_next) in enumerate(zip(order, xs, xs[1:])):
+            gl += g[k]
             if v == v_next:
                 continue
             hl = pos + 1.0
             gr = total_g - gl
             hr = total_h - hl
-            tl = max(abs(gl) - reg_alpha, 0.0)
-            tr = max(abs(gr) - reg_alpha, 0.0)
-            tp = max(abs(gl + gr) - reg_alpha, 0.0)
+            # Each `0.0 if x < 0.0 else x` is max(x, 0.0) without the
+            # cost of a builtin call.
+            tl = abs(gl) - reg_alpha
+            tl = 0.0 if tl < 0.0 else tl
+            tr = abs(gr) - reg_alpha
+            tr = 0.0 if tr < 0.0 else tr
+            tp = abs(gl + gr) - reg_alpha
+            tp = 0.0 if tp < 0.0 else tp
             gain = (
                 0.5
                 * (
                     tl * tl / (hl + reg_lambda)
                     + tr * tr / (hr + reg_lambda)
-                    - tp * tp / (hl + hr + reg_lambda)
+                    - tp * tp / parent_den
                 )
                 - gamma
             )
@@ -74,16 +84,20 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     sum(beta) = 0. Each iteration picks the maximal violating pair, then
     maximizes the dual exactly along the feasible direction (the objective
     is piecewise quadratic with kinks where a coefficient crosses zero).
+    K and y are float64 arrays; C, eps and tol are floats.
 
-    Returns (beta, max_up, min_low, n_iter, converged): max_up / min_low
-    bracket the feasible bias interval at termination; their gap is the
-    stopping measure compared against tol.
+    Returns (beta, max_up, min_low, n_iter, converged): beta is a float64
+    array; max_up / min_low bracket the feasible bias interval at
+    termination; their gap is the stopping measure compared against tol.
     """
-    n = y.shape[0]
-    beta = np.zeros(n)
-    v = np.zeros(n)  # K @ beta, maintained incrementally
-    max_up = -np.inf
-    min_low = np.inf
+    # cols[j][t] is K[t, j]. The update of v reads columns of K, and a Gram
+    # matrix from BLAS need not be exactly symmetric, so rows would not do.
+    cols = K.T.tolist()
+    y = y.tolist()
+    n = len(y)
+    beta = [0.0] * n
+    v = [0.0] * n  # K @ beta, maintained incrementally
+    neg_C = -C
     it = 0
     while True:
         # Maximal violating pair: i may move up, j may move down.
@@ -91,33 +105,32 @@ def smo_solve(K, y, C, eps, tol, max_iter):
         up_best = -np.inf
         i_low = -1
         low_best = np.inf
-        for t in range(n):
-            e = y[t] - v[t]
-            bt = beta[t]
+        for t, (yt, vt, bt) in enumerate(zip(y, v, beta)):
+            e = yt - vt
             if bt < C:
                 s = e - eps if bt >= 0.0 else e + eps
                 if s > up_best:
                     up_best = s
                     i_up = t
-            if bt > -C:
+            if bt > neg_C:
                 s = e - eps if bt > 0.0 else e + eps
                 if s < low_best:
                     low_best = s
                     i_low = t
-        max_up = up_best
-        min_low = low_best
         if i_up < 0 or i_low < 0 or up_best - low_best <= tol:
-            return beta, max_up, min_low, it, True
+            return np.array(beta, dtype=float), up_best, low_best, it, True
         if it >= max_iter:
-            return beta, max_up, min_low, it, False
+            return np.array(beta, dtype=float), up_best, low_best, it, False
         it += 1
 
         i = i_up
         j = i_low
         bi = beta[i]
         bj = beta[j]
+        col_i = cols[i]
+        col_j = cols[j]
         # Direction beta[i] += s, beta[j] -= s preserves sum(beta).
-        rho = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        rho = col_i[i] + col_j[j] - 2.0 * col_j[i]
         deriv = up_best - low_best
         s_box = min(C - bi, bj + C)
         # Kinks where a coefficient crosses zero drop the derivative by
@@ -129,13 +142,7 @@ def smo_solve(K, y, C, eps, tol, max_iter):
 
         s_opt = s_box
         s_prev = 0.0
-        for stop_idx in range(3):
-            if stop_idx == 0:
-                seg_end = k1
-            elif stop_idx == 1:
-                seg_end = k2
-            else:
-                seg_end = s_box
+        for seg_end in (k1, k2, s_box):
             if seg_end > s_box:
                 seg_end = s_box
             seg_len = seg_end - s_prev
@@ -161,7 +168,7 @@ def smo_solve(K, y, C, eps, tol, max_iter):
         else:
             beta[i] = bi + s_opt
         if s_opt == bj + C:
-            beta[j] = -C
+            beta[j] = neg_C
         elif s_opt == bj:
             beta[j] = 0.0
         else:
@@ -169,6 +176,4 @@ def smo_solve(K, y, C, eps, tol, max_iter):
 
         d_i = beta[i] - bi
         d_j = beta[j] - bj
-        for t in range(n):
-            v[t] += K[t, i] * d_i + K[t, j] * d_j
-
+        v = [vt + (a * d_i + b * d_j) for vt, a, b in zip(v, col_i, col_j)]

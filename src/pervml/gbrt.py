@@ -175,9 +175,8 @@ def build_tree(X, g, params: GbrtParams, rng=None) -> Tree:
         X, g, depth, parent = stack.pop()
         gain, col_local = 0.0, -1
         if depth < params.max_depth and X.shape[0] >= 2:
-            xt = np.ascontiguousarray(X[:, columns].T)
             gain, col_local, threshold = _kernels.best_split_kernel(
-                xt, g, params.reg_lambda, params.reg_alpha, params.gamma
+                X[:, columns].T, g, params.reg_lambda, params.reg_alpha, params.gamma
             )
         if col_local < 0 or gain <= 0.0:
             value = leaf_weight(float(g.sum()), float(len(g)), params)

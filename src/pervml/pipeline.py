@@ -50,8 +50,7 @@ REPRO_SEED = 7
 
 def published_params(family: str, target: str, seed: int):
     """Params of the published optimal setting of `family` for `target`."""
-    setting = dict(load_reference()["settings"][family][target])
-    return make_params(family, setting, seed=seed)
+    return make_params(family, load_reference()["settings"][family][target], seed=seed)
 
 
 def resolve_split(ds: Dataset, spec_text: str) -> frozenset:
@@ -183,7 +182,7 @@ def reproduce(ds: Dataset, scaler_mode: str = "full", seed: int = REPRO_SEED) ->
     importances: dict[str, ImportanceReport] = {}
     for target in TARGET_COLUMNS:
         for family in FAMILIES:
-            params = published_params(family, target, seed)
+            params = make_params(family, ref["settings"][family][target], seed=seed)
             runs[(family, target)] = run_model(ds, target, family, params, test_ids, scaler_mode)
         importances[target] = importance(runs[("gbrt", target)].model)
 

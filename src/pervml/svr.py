@@ -133,12 +133,7 @@ def fit(X, y, params: SvrParams, feature_names=None) -> SvrModel:
     if not np.isfinite(K).all():
         raise ValueError(f"{params.kernel} kernel matrix is not finite (overflow)")
     beta, max_up, min_low, n_iter, converged = _kernels.smo_solve(
-        np.ascontiguousarray(K),
-        np.ascontiguousarray(y),
-        float(params.C),
-        float(params.epsilon),
-        float(params.tol),
-        int(params.max_passes),
+        K, y, float(params.C), float(params.epsilon), float(params.tol), int(params.max_passes)
     )
     if not converged:
         warnings.warn(

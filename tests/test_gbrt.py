@@ -227,6 +227,99 @@ class TestGreedyMatchesEnumeration:
         assert col == -1
 
 
+def best_split_oracle(xt, g, reg_lambda, reg_alpha, gamma):
+    """Reference split search: the same scan on numpy scalars, reading one
+    array element at a time. best_split_kernel must return its result bit
+    for bit."""
+    n_cols, n = xt.shape
+    total_g = 0.0
+    for i in range(n):
+        total_g += g[i]
+    total_h = float(n)
+
+    best_gain = -np.inf
+    best_col = -1
+    best_thr = 0.0
+    for j in range(n_cols):
+        col = xt[j]
+        order = np.argsort(col, kind="mergesort")
+        gl = 0.0
+        for pos in range(n - 1):
+            idx = order[pos]
+            gl += g[idx]
+            v = col[idx]
+            v_next = col[order[pos + 1]]
+            if v == v_next:
+                continue
+            hl = pos + 1.0
+            gr = total_g - gl
+            hr = total_h - hl
+            tl = max(abs(gl) - reg_alpha, 0.0)
+            tr = max(abs(gr) - reg_alpha, 0.0)
+            tp = max(abs(gl + gr) - reg_alpha, 0.0)
+            gain = (
+                0.5
+                * (
+                    tl * tl / (hl + reg_lambda)
+                    + tr * tr / (hr + reg_lambda)
+                    - tp * tp / (hl + hr + reg_lambda)
+                )
+                - gamma
+            )
+            if gain > best_gain:
+                best_gain = gain
+                best_col = j
+                best_thr = (v + v_next) * 0.5
+    return best_gain, best_col, best_thr
+
+
+# A few values, -0.0 among them, so columns repeat values and tie 0.0 with
+# -0.0. Thirds are not dyadic, so the order of a gradient sum shows in its bits.
+split_values = st.sampled_from([0.0, -0.0, 0.25, 1.0]) | st.floats(-4.0, 4.0)
+gradients = st.floats(-1e3, 1e3).map(lambda x: x / 3.0)
+
+
+@st.composite
+def split_problems(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(0, 4))
+    rows = st.lists(st.lists(split_values, min_size=d, max_size=d), min_size=n, max_size=n)
+    X = np.array(draw(rows), dtype=float).reshape(n, d)
+    g = np.array(draw(st.lists(gradients, min_size=n, max_size=n)), dtype=float)
+    reg = (
+        draw(st.sampled_from([0.0, 0.5, 1.0])),  # reg_lambda
+        draw(st.sampled_from([0.0, 0.3])),  # reg_alpha
+        draw(st.sampled_from([0.0, 0.1])),  # gamma
+    )
+    return X, g, reg
+
+
+def split_bits(result) -> str:
+    gain, col, threshold = result
+    return repr((float(gain), col, float(threshold)))
+
+
+class TestSplitKernelMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(split_problems())
+    def test_bit_identical(self, problem):
+        X, g, reg = problem
+        # build_tree passes the transposed view; the oracle read a C-order copy.
+        got = best_split_kernel(X.T, g, *reg)
+        want = best_split_oracle(np.ascontiguousarray(X.T), g, *reg)
+        assert split_bits(got) == split_bits(want)
+
+    def test_tie_order_sets_the_gradient_sum(self):
+        # Nine tied rows, -0.0 among them, form the left side of the one
+        # split. Near 1e16 an added 1.0 is lost to rounding, so the left sum
+        # depends on the order its rows are added in; in row order it is 6.0.
+        xt = np.array([[0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 1.0]])
+        g = np.array([1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5])
+        got = best_split_kernel(xt, g, 1.0, 0.0, 0.0)
+        assert split_bits(got) == split_bits(best_split_oracle(xt, g, 1.0, 0.0, 0.0))
+        assert got[0] == 0.5 * (6.0**2 / 10.0 + 0.5**2 / 2.0 - 6.5**2 / 11.0)
+
+
 class TestFit:
     def test_zero_estimators_predicts_base(self, rng):
         X = rng.uniform(size=(5, 2))

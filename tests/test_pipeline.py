@@ -9,9 +9,11 @@ from pervml.data import (
     MixtureRecord,
     split,
 )
+from pervml import pipeline
 from pervml.pipeline import (
     deviation,
     load_reference,
+    reproduce,
     resolve_split,
     run_model,
     slices,
@@ -158,3 +160,14 @@ class TestReproReport:
     def test_default_config_passes_bands(self, repro_report):
         assert repro_report.passed
         assert repro_report.band_failures == []
+
+    def test_reference_file_parsed_once(self, bundled, monkeypatch):
+        parses = []
+
+        def counted_load_reference():
+            parses.append(1)
+            return load_reference()
+
+        monkeypatch.setattr(pipeline, "load_reference", counted_load_reference)
+        reproduce(bundled)
+        assert len(parses) == 1

@@ -2,11 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pervml import svr
+from pervml._kernels import smo_solve
 from pervml.modelio import ModelIOError
 from pervml.pipeline import load_reference
 from pervml.svr import (
+    KERNEL_FIELDS,
     SvrConvergenceWarning,
     SvrModel,
     SvrParams,
@@ -127,6 +131,148 @@ class TestFitBasics:
             svr.fit(rng.uniform(size=(3, 2)), rng.uniform(size=4), SvrParams())
         with pytest.raises(ValueError, match="at least one"):
             svr.fit(np.empty((0, 2)), np.empty(0), SvrParams())
+
+
+def smo_oracle(K, y, C, eps, tol, max_iter):
+    """Reference solver: the same SMO loop on numpy scalars, reading one
+    array element at a time. smo_solve must return its result bit for bit."""
+    n = y.shape[0]
+    beta = np.zeros(n)
+    v = np.zeros(n)  # K @ beta, maintained incrementally
+    max_up = -np.inf
+    min_low = np.inf
+    it = 0
+    while True:
+        i_up = -1
+        up_best = -np.inf
+        i_low = -1
+        low_best = np.inf
+        for t in range(n):
+            e = y[t] - v[t]
+            bt = beta[t]
+            if bt < C:
+                s = e - eps if bt >= 0.0 else e + eps
+                if s > up_best:
+                    up_best = s
+                    i_up = t
+            if bt > -C:
+                s = e - eps if bt > 0.0 else e + eps
+                if s < low_best:
+                    low_best = s
+                    i_low = t
+        max_up = up_best
+        min_low = low_best
+        if i_up < 0 or i_low < 0 or up_best - low_best <= tol:
+            return beta, max_up, min_low, it, True
+        if it >= max_iter:
+            return beta, max_up, min_low, it, False
+        it += 1
+
+        i = i_up
+        j = i_low
+        bi = beta[i]
+        bj = beta[j]
+        rho = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        deriv = up_best - low_best
+        s_box = min(C - bi, bj + C)
+        k1 = -bi if bi < 0.0 else np.inf
+        k2 = bj if bj > 0.0 else np.inf
+        if k2 < k1:
+            k1, k2 = k2, k1
+
+        s_opt = s_box
+        s_prev = 0.0
+        for stop_idx in range(3):
+            if stop_idx == 0:
+                seg_end = k1
+            elif stop_idx == 1:
+                seg_end = k2
+            else:
+                seg_end = s_box
+            if seg_end > s_box:
+                seg_end = s_box
+            seg_len = seg_end - s_prev
+            if seg_len > 0.0:
+                if rho > 0.0 and deriv / rho <= seg_len:
+                    s_opt = s_prev + deriv / rho
+                    break
+                deriv -= rho * seg_len
+                s_prev = seg_end
+            if seg_end == s_box:
+                s_opt = s_box
+                break
+            deriv -= 2.0 * eps
+            if deriv <= 0.0:
+                s_opt = seg_end
+                break
+
+        if s_opt == C - bi:
+            beta[i] = C
+        elif s_opt == -bi:
+            beta[i] = 0.0
+        else:
+            beta[i] = bi + s_opt
+        if s_opt == bj + C:
+            beta[j] = -C
+        elif s_opt == bj:
+            beta[j] = 0.0
+        else:
+            beta[j] = bj - s_opt
+
+        d_i = beta[i] - bi
+        d_j = beta[j] - bj
+        for t in range(n):
+            v[t] += K[t, i] * d_i + K[t, j] * d_j
+
+
+def smo_bits(result) -> tuple:
+    beta, max_up, min_low, n_iter, converged = result
+    assert isinstance(beta, np.ndarray) and beta.dtype == np.float64
+    return beta.tobytes(), repr(float(max_up)), repr(float(min_low)), n_iter, converged
+
+
+@st.composite
+def smo_problems(draw):
+    """(K, y, C, eps, tol, max_iter) over every kernel. A K may have one
+    off-diagonal entry an ulp away from its mirror, small C puts coefficients
+    on the box, and small max_iter hits the cap."""
+    n = draw(st.integers(1, 10))
+    unit = st.floats(-1.0, 1.0)
+    rows = st.lists(st.lists(unit, min_size=3, max_size=3), min_size=n, max_size=n)
+    X = np.array(draw(rows))
+    y = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    params = SvrParams(
+        kernel=draw(st.sampled_from(list(KERNEL_FIELDS))),
+        gamma=draw(st.sampled_from([0.1, 1.0])),
+        coef0=1.0,
+    )
+    K = gram_matrix(params, X, X)
+    if n >= 2 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(n)))[:2]
+        K[a, b] = np.nextafter(K[a, b], np.inf)
+    return (
+        K,
+        y,
+        draw(st.sampled_from([1e-3, 0.01, 0.1, 1.0, 10.0, 100.0])),
+        draw(st.sampled_from([0.0, 0.01, 0.1])),
+        draw(st.sampled_from([1e-3, 1e-6])),
+        draw(st.sampled_from([0, 1, 3, 20, 10_000])),
+    )
+
+
+class TestSmoMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(smo_problems())
+    @example((np.array([[1.0]]), np.array([0.5]), 1.0, 0.1, 1e-3, 100))
+    @example(  # K[1, 0] is an ulp above K[0, 1], so reading rows shows
+        (np.array([[1.0, 0.5], [np.nextafter(0.5, 1.0), 2.0]]), np.array([1.0, -1.0]),
+         10.0, 0.0, 1e-3, 100)
+    )
+    @example(  # the first pair lands on the box, then the cap stops the second
+        (np.eye(4), np.array([1.0, -1.0, 0.5, -0.5]), 0.01, 0.0, 1e-3, 1)
+    )
+    def test_bit_identical(self, problem):
+        assert smo_bits(smo_solve(*problem)) == smo_bits(smo_oracle(*problem))
 
 
 def fit_reference_setting(train_slices, target):
