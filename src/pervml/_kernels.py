@@ -1,12 +1,15 @@
 """Hot numeric kernels: exact-greedy split search and the SMO dual solver.
 
-Both are plain scalar loops on Python floats. Each kernel turns its numpy
-inputs into lists once per call with `.tolist()`: at the study's sizes
-(tree nodes of a few to 19 rows, 19-row Gram matrices) reading one element
-of a numpy array creates a numpy scalar, which costs more than the
-arithmetic it feeds. Python floats are IEEE doubles like float64, so these
-loops return, bit for bit, what the same loops return on numpy scalars;
-the tests keep those as oracles. These loops are the only implementation.
+Both are plain scalar loops on Python floats: at the study's sizes (tree
+nodes of a few to 19 rows, 19-row Gram matrices) reading one element of a
+numpy array creates a numpy scalar, which costs more than the arithmetic it
+feeds. The split scan takes lists that `gbrt.fit` builds once per fit: the
+feature columns, each candidate column's rows presorted by value and
+partitioned down to the node, and the gradients, so it neither sorts nor
+converts. SMO turns its numpy inputs into lists once per call with
+`.tolist()`. Python floats are IEEE doubles like float64, so these loops
+return, bit for bit, what the same loops return on numpy scalars; the tests
+keep those as oracles. These loops are the only implementation.
 """
 
 from __future__ import annotations
@@ -17,59 +20,59 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
-def best_split_kernel(xt, g, reg_lambda, reg_alpha, gamma):
-    """Scan every (column, midpoint) candidate and return the best split.
+def best_split_kernel(cols, orders, rows, g, reg_lambda, reg_alpha, gamma):
+    """Scan every (column, midpoint) candidate of one node and return the best split.
 
-    xt: (n_cols, n_rows) array, one candidate feature per row.
-    g: per-sample gradient array. Under squared error every hessian is 1,
-    so a side's hessian sum in the second-order gain is its row count.
-    Returns (gain, column index into xt, threshold); column is -1 when no
+    cols: candidate feature columns, each a list of values for every row
+    of the fit. orders[j]: the node's rows in ascending order of cols[j]
+    (stable, so equal values, 0.0 and -0.0 among them, keep row order).
+    rows: the node's rows in ascending order. g: every row's gradient.
+    Under squared error every hessian is 1, so a side's hessian sum in the
+    second-order gain is its row count.
+    Returns (gain, column index into cols, threshold); column is -1 when no
     candidate exists (all columns constant). Ties keep the first candidate
     in (column, ascending threshold) order, so callers must pass columns in
-    ascending original-feature order. Rows are ordered by a stable sort, so
-    equal values (0.0 and -0.0 among them) keep their row order.
+    ascending original-feature order.
     """
-    n = xt.shape[1]
-    g = g.tolist()
     total_g = 0.0
-    for gi in g:
-        total_g += gi
-    total_h = float(n)
+    for r in rows:
+        total_g += g[r]
+    total_h = float(len(rows))
     # hl and hr are whole numbers, so hl + hr is exactly total_h at every
-    # candidate and the parent's denominator is one number.
+    # candidate and the parent's denominator is one number. The candidate
+    # after the i-th row of any column has hl = i rows on its left, so the
+    # sides' denominators are the same lists for every column.
     parent_den = total_h + reg_lambda
+    den_l = []
+    den_r = []
+    hl = 1.0
+    while hl < total_h:
+        den_l.append(hl + reg_lambda)
+        den_r.append(total_h - hl + reg_lambda)
+        hl += 1.0
 
     best_gain = -np.inf
     best_col = -1
     best_thr = 0.0
-    for j, col in enumerate(xt.tolist()):
-        order = sorted(range(n), key=col.__getitem__)
+    for j, (col, order) in enumerate(zip(cols, orders)):
         xs = [col[k] for k in order]
         gl = 0.0
-        for pos, (k, v, v_next) in enumerate(zip(order, xs, xs[1:])):
+        for k, v, v_next, dl, dr in zip(order, xs, xs[1:], den_l, den_r):
             gl += g[k]
             if v == v_next:
                 continue
-            hl = pos + 1.0
             gr = total_g - gl
-            hr = total_h - hl
-            # Each `0.0 if x < 0.0 else x` is max(x, 0.0) without the
-            # cost of a builtin call.
-            tl = abs(gl) - reg_alpha
+            # `x if x >= 0.0 else -x` is abs(x) up to the sign of a zero,
+            # which squaring drops, and `0.0 if t < 0.0 else t` is
+            # max(t, 0.0); neither pays for a builtin call.
+            tl = (gl if gl >= 0.0 else -gl) - reg_alpha
             tl = 0.0 if tl < 0.0 else tl
-            tr = abs(gr) - reg_alpha
+            tr = (gr if gr >= 0.0 else -gr) - reg_alpha
             tr = 0.0 if tr < 0.0 else tr
-            tp = abs(gl + gr) - reg_alpha
+            tp = gl + gr
+            tp = (tp if tp >= 0.0 else -tp) - reg_alpha
             tp = 0.0 if tp < 0.0 else tp
-            gain = (
-                0.5
-                * (
-                    tl * tl / (hl + reg_lambda)
-                    + tr * tr / (hr + reg_lambda)
-                    - tp * tp / parent_den
-                )
-                - gamma
-            )
+            gain = 0.5 * (tl * tl / dl + tr * tr / dr - tp * tp / parent_den) - gamma
             if gain > best_gain:
                 best_gain = gain
                 best_col = j

@@ -10,11 +10,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from . import __version__
 from .analysis import importance as compute_importance
 from .analysis import sensitivity_table
-from .data import ALL_COLUMNS, TARGET_COLUMNS, DatasetError, describe, load_bundled, load_csv
+from .data import (
+    ALL_COLUMNS,
+    EMPTY_TEST_SIDE,
+    TARGET_COLUMNS,
+    DatasetError,
+    describe,
+    load_bundled,
+    load_csv,
+)
 from .metrics import EvalReport
 from .modelio import ModelIOError
 from .pipeline import (
@@ -130,11 +139,20 @@ def _ensure_out(path: str) -> str:
     return path
 
 
+def _test_ids(ds, args) -> frozenset:
+    """The test ids --split names. An empty test side is reported here as
+    one line; `run` silences the library's warning about it."""
+    test_ids = resolve_split(ds, args.split)
+    if not test_ids:
+        print(f"pervml: warning: {EMPTY_TEST_SIDE}", file=sys.stderr)
+    return test_ids
+
+
 def _run(args, family: str, model=None):
     """Fit (unless `model` is given) and evaluate one model as `args` say:
     the --params file, or the published setting for --target."""
     ds = _load(args)
-    test_ids = resolve_split(ds, args.split)
+    test_ids = _test_ids(ds, args)
     if model is not None:
         params = None
     elif args.params:
@@ -186,7 +204,7 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_tune(args) -> int:
     ds = _load(args)
-    _, train, _ = slices(ds, args.target, resolve_split(ds, args.split), args.scaler)
+    _, train, _ = slices(ds, args.target, _test_ids(ds, args), args.scaler)
     if args.grid:
         grids = read_grid_file(args.grid)
         if args.model not in grids:
@@ -315,7 +333,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", EMPTY_TEST_SIDE)
+            return _COMMANDS[args.command](args)
     except (DatasetError, ModelIOError, OSError, ValueError, RuntimeError) as exc:
         print(f"pervml {args.command}: error: {exc}", file=sys.stderr)
         return DATA_EXIT

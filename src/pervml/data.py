@@ -266,6 +266,9 @@ def random_split(ds: Dataset, seed: int) -> frozenset:
     return frozenset(ids[i] for i in order[: round(0.2 * len(ids))])
 
 
+EMPTY_TEST_SIDE = "split has an empty test side"
+
+
 def split(ds: Dataset, test_ids: frozenset) -> tuple[Dataset, Dataset]:
     """The (train, test) sides of `ds`, each in dataset order. A split with no
     training mixture is an error; one with no test mixture warns."""
@@ -276,5 +279,5 @@ def split(ds: Dataset, test_ids: frozenset) -> tuple[Dataset, Dataset]:
     if not train_ids:
         raise DatasetError("split leaves no training mixtures")
     if not test_ids:
-        warnings.warn("split has an empty test side", stacklevel=2)
+        warnings.warn(EMPTY_TEST_SIDE, stacklevel=2)
     return ds.subset(train_ids), ds.subset(test_ids)

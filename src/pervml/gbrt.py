@@ -17,11 +17,31 @@ has feature -1, its value, and children -1; an internal node has value 0.
 Pre-order lets growth, prediction, importance and the nested model JSON each
 work from one loop or one explicit stack, visiting nodes in the order a
 recursive walk would, so sums over nodes keep their order.
+
+A fit's features never change, so `fit` sorts each column once with a
+stable sort (`presort`): XGBoost's pre-sorted column block (Chen & Guestrin,
+KDD 2016, section 4.1) at this size. Growth then works on Python lists: a
+node holds its rows in ascending order and, for each candidate column, the
+same rows in that column's order; a split partitions all of them with the
+threshold test, which keeps every list in order. No node sorts, slices an
+array or calls numpy, and the split scan reads the orders directly. A stable
+order restricted to a node's rows is the stable sort of those rows, so the
+trees are those a per-node sort gives, bit for bit; a leaf sums its
+gradients as numpy's pairwise sum would (`_pairwise_sum`). Sampled rows take
+their prediction update from the leaf they were partitioned into; only the
+rows that subsampling left out walk the new tree.
+
+A fit that draws no random numbers (subsample = colsample_bytree = 1) stops
+at its fixed point: once a tree leaves every training prediction unchanged
+bit for bit, the next gradients, and so every later tree, are the same, so
+`fit` appends copies of it and stops growing. The test is on the bits, not
+on ==, because adding a leaf of 0.0 turns a prediction of -0.0 into 0.0.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -129,10 +149,11 @@ class TreeEnsemble:
             raise ValueError(
                 f"expected {self.n_features} feature column(s), got shape {X.shape}"
             )
+        rows = X.tolist()
         out = np.full(X.shape[0], self.base_score, dtype=float)
         yield out
         for tree in self.trees:
-            out = out + predict_tree(tree, X)
+            out = out + predict_tree(tree, rows)
             yield out
 
 
@@ -145,64 +166,127 @@ def leaf_weight(grad_sum: float, count: float, params: GbrtParams) -> float:
     return -_soft_threshold(grad_sum, params.reg_alpha) / (count + params.reg_lambda)
 
 
-def build_tree(X, g, params: GbrtParams, rng=None) -> Tree:
+def presort(X) -> tuple[list[list[float]], list[list[int]]]:
+    """The columns of X as lists, and for each column every row number in
+    ascending order of its value. The sort is stable, so tied values (0.0
+    and -0.0 among them) keep ascending row order."""
+    cols = np.asarray(X, dtype=float).T.tolist()
+    return cols, [sorted(range(len(col)), key=col.__getitem__) for col in cols]
+
+
+def _pairwise_sum(values: list) -> float:
+    """`float(np.sum(values))` for float64 values, bit for bit, on Python floats.
+
+    numpy sums fewer than 8 values left to right from 0.0; up to 128 values
+    with 8 interleaved accumulators combined pairwise, then the remainder
+    left to right; longer runs by splitting them at a multiple of 8 near
+    the middle. The reduction adds the result to 0.0, so a sum of only
+    -0.0 values is 0.0.
+    """
+    return 0.0 + _pairwise_block(values, 0, len(values))
+
+
+def _pairwise_block(v: list, lo: int, n: int) -> float:
+    if n < 8:
+        total = 0.0
+        for i in range(lo, lo + n):
+            total += v[i]
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_block(v, lo, half) + _pairwise_block(v, lo + half, n - half)
+    r0, r1, r2, r3, r4, r5, r6, r7 = v[lo : lo + 8]
+    end = lo + n - n % 8
+    for i in range(lo + 8, end, 8):
+        r0 += v[i]
+        r1 += v[i + 1]
+        r2 += v[i + 2]
+        r3 += v[i + 3]
+        r4 += v[i + 4]
+        r5 += v[i + 5]
+        r6 += v[i + 6]
+        r7 += v[i + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for i in range(end, lo + n):
+        total += v[i]
+    return total
+
+
+def build_tree(cols, orders, rows, g, params: GbrtParams, rng=None):
     """Grow one tree by exact greedy search, depth first from an explicit stack.
 
+    cols and orders are `presort` of the fit's features; rows are the rows
+    the tree is grown on, in ascending order; g holds every row's gradient.
     When colsample_bytree < 1 and an rng is given, the tree sees only a
     random draw of ceil(colsample_bytree * d) columns (without replacement,
     kept in ascending index order so tie-breaking stays by original index).
+
+    Each node carries its rows and, for each candidate column, its rows in
+    that column's order. A split partitions every one of these lists with
+    the threshold test, which keeps each in its order, so no node sorts.
+    Returns the tree and its leaves as (node, rows) pairs.
     """
-    X = np.asarray(X, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
+    if not rows:
         raise ValueError("need at least one sample")
-    if X.shape[0] != g.shape[0]:
-        raise ValueError("X and g must agree on sample count")
-    if not np.isfinite(X).all():
-        raise ValueError("features must be finite")
-    d = X.shape[1]
+    d = len(cols)
     if params.colsample_bytree < 1.0 and rng is not None:
         n_cols = math.ceil(params.colsample_bytree * d)
-        columns = np.sort(rng.choice(d, size=n_cols, replace=False))
+        columns = sorted(rng.choice(d, size=n_cols, replace=False).tolist())
     else:
-        columns = np.arange(d)
+        columns = list(range(d))
+    tree_cols = [cols[c] for c in columns]
+    if len(rows) == len(g):
+        node_orders = [orders[c] for c in columns]
+    else:
+        sampled = [False] * len(g)
+        for r in rows:
+            sampled[r] = True
+        node_orders = [[r for r in orders[c] if sampled[r]] for c in columns]
 
     tree = Tree()
-    # (rows, gradients, depth, parent if this is a right child else -1);
+    leaves = []
+    # (rows, their orders, depth, parent if this is a right child else -1);
     # the left child is pushed last so it is numbered next (pre-order).
-    stack = [(X, g, 0, -1)]
+    stack = [(rows, node_orders, 0, -1)]
     while stack:
-        X, g, depth, parent = stack.pop()
+        rows, node_orders, depth, parent = stack.pop()
         gain, col_local = 0.0, -1
-        if depth < params.max_depth and X.shape[0] >= 2:
+        if depth < params.max_depth and len(rows) >= 2:
             gain, col_local, threshold = _kernels.best_split_kernel(
-                X[:, columns].T, g, params.reg_lambda, params.reg_alpha, params.gamma
+                tree_cols, node_orders, rows, g,
+                params.reg_lambda, params.reg_alpha, params.gamma,
             )
         if col_local < 0 or gain <= 0.0:
-            value = leaf_weight(float(g.sum()), float(len(g)), params)
-            _add_node(tree, parent, value=value)
+            value = leaf_weight(_pairwise_sum([g[r] for r in rows]), float(len(rows)), params)
+            leaves.append((_add_node(tree, parent, value=value), rows))
             continue
-        feature = int(columns[col_local])
-        node = _add_node(
-            tree, parent, feature, float(threshold), float(gain), float(len(g))
-        )
-        mask = X[:, feature] <= threshold
-        stack.append((X[~mask], g[~mask], depth + 1, node))
-        stack.append((X[mask], g[mask], depth + 1, -1))
-    return tree
+        node = _add_node(tree, parent, columns[col_local], threshold, gain, float(len(rows)))
+        col = tree_cols[col_local]
+        lists = [rows, *node_orders]
+        # Features and thresholds are never NaN, so > is the complement of <=.
+        right = [[r for r in part if col[r] > threshold] for part in lists]
+        left = [[r for r in part if col[r] <= threshold] for part in lists]
+        stack.append((right[0], right[1:], depth + 1, node))
+        stack.append((left[0], left[1:], depth + 1, -1))
+    return tree, leaves
 
 
-def predict_tree(tree: Tree, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
+def predict_tree(tree: Tree, rows) -> list[float]:
+    """Each row's leaf value; rows are sequences of feature values (lists)."""
     feature, threshold = tree.feature, tree.threshold
     left, right, value = tree.left, tree.right, tree.value
     out = []
-    for row in X.tolist():
+    for row in rows:
         node = 0
         while feature[node] >= 0:
             node = left[node] if row[feature[node]] <= threshold[node] else right[node]
         out.append(value[node])
-    return np.array(out, dtype=float)
+    return out
+
+
+def _copy_tree(tree: Tree) -> Tree:
+    return Tree(**{name: list(nodes) for name, nodes in vars(tree).items()})
 
 
 def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
@@ -211,6 +295,9 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
     Row subsampling draws ceil(subsample * n) rows without replacement per
     tree; out-of-sample rows still receive the prediction update so the next
     round's gradients are consistent. Deterministic for a fixed seed.
+
+    Columns are sorted once per fit and a draw-free fit stops at its fixed
+    point (see the module docstring); neither changes a bit of the trees.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -218,6 +305,8 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
         raise ValueError("need at least one sample")
     if y.shape != (X.shape[0],):
         raise ValueError(f"shape mismatch: X {X.shape} vs y {y.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
     n, d = X.shape
     if feature_names is None:
         feature_names = tuple(f"f{j}" for j in range(d))
@@ -229,18 +318,37 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
     ensemble = TreeEnsemble(
         base_score=params.base_score, eta=params.eta, feature_names=feature_names
     )
-    preds = np.full(n, params.base_score, dtype=float)
+    cols, orders = presort(X)
+    X_rows = X.tolist()
+    y = y.tolist()
+    preds = [params.base_score] * n
+    draws = params.subsample < 1.0 or params.colsample_bytree < 1.0
+    bits = struct.Struct(f"{n}d").pack
+    all_rows = range(n)
+    rows, left_out = all_rows, []
     for _ in range(params.n_estimators):
-        g = preds - y
+        g = [p - t for p, t in zip(preds, y)]
         if params.subsample < 1.0:
             n_rows = math.ceil(params.subsample * n)
-            rows = np.sort(rng.choice(n, size=n_rows, replace=False))
-        else:
-            rows = np.arange(n)
-        tree = build_tree(X[rows], g[rows], params, rng)
-        tree.value = [v * params.eta for v in tree.value]
+            rows = sorted(rng.choice(n, size=n_rows, replace=False).tolist())
+            sampled = set(rows)
+            left_out = [r for r in all_rows if r not in sampled]
+        tree, leaves = build_tree(cols, orders, rows, g, params, rng)
+        value = tree.value = [v * params.eta for v in tree.value]
         ensemble.trees.append(tree)
-        preds += predict_tree(tree, X)
+        new = preds[:]
+        for node, leaf_rows in leaves:
+            v = value[node]
+            for r in leaf_rows:
+                new[r] += v
+        if left_out:
+            for r, v in zip(left_out, predict_tree(tree, [X_rows[r] for r in left_out])):
+                new[r] += v
+        if not draws and bits(*new) == bits(*preds):
+            copies = params.n_estimators - len(ensemble.trees)
+            ensemble.trees.extend(_copy_tree(tree) for _ in range(copies))
+            break
+        preds = new
     return ensemble
 
 

@@ -20,7 +20,7 @@ from pervml.data import (
     reference_split,
     split,
 )
-from pervml.gbrt import GbrtParams, build_tree
+from pervml.gbrt import GbrtParams, build_tree, presort
 from pervml.metrics import mae, mape, r_squared, rmse
 from pervml.pipeline import load_reference
 from pervml.svr import SvrParams, kkt_violation
@@ -73,7 +73,7 @@ def test_03_split_finder_oracle(rng):
     splits_seen = 0
     for _ in range(200):
         X, g, params = random_split_case(rng)
-        t = build_tree(X, g, params)
+        t, _ = build_tree(*presort(X), range(len(X)), g.tolist(), params)
         expected = enumerate_best_split(X, g, params)
         if expected is None:
             assert t.feature == [-1]

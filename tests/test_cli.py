@@ -119,6 +119,25 @@ class TestSplitErrors:
         assert "UserWarning" not in err
         assert not [w for w in caught if issubclass(w.category, UserWarning)]
 
+    @pytest.mark.parametrize("command", ["evaluate", "train", "importance", "tune"])
+    def test_empty_test_side_is_one_warning_line(self, tmp_path, capsys, command):
+        ids = tmp_path / "no_ids.txt"
+        ids.write_text("# no test mixtures\n")
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[gbrt]\nn_estimators = 2\n")
+        extra = ("--grid", str(grid)) if command == "tune" else ()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(
+                command, "--split", f"ids:{ids}", "--out", str(tmp_path / "out"), *extra
+            )
+        err = capsys.readouterr().err
+        assert rc == 0
+        assert err.splitlines() == ["pervml: warning: split has an empty test side"]
+        assert "UserWarning" not in err
+        assert ".py:" not in err
+        assert not [w for w in caught if issubclass(w.category, UserWarning)]
+
 
 class TestSettingsFiles:
     @pytest.mark.parametrize("command", ["train", "evaluate", "importance"])

@@ -1,5 +1,6 @@
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pervml.gbrt import (
     build_tree,
     leaf_weight,
     predict_tree,
+    presort,
 )
 from pervml.metrics import mse
 from pervml.modelio import ModelIOError
@@ -88,6 +90,14 @@ def stump_params(**overrides):
     return GbrtParams(**base)
 
 
+def grow(X, g, params, rng=None) -> Tree:
+    """build_tree on every row of X, as `fit` grows a tree when subsample is 1."""
+    X = np.asarray(X, dtype=float)
+    g = np.asarray(g, dtype=float).tolist()
+    tree, _ = build_tree(*presort(X), range(len(X)), g, params, rng)
+    return tree
+
+
 class TestLeafWeight:
     def test_plain(self):
         p = GbrtParams(reg_lambda=0.0, reg_alpha=0.0)
@@ -127,7 +137,7 @@ class TestSplitGain:
 
 class TestBuildTree:
     def test_stump_split(self):
-        tree = build_tree(STUMP_X, 0.5 - STUMP_Y, stump_params())
+        tree = grow(STUMP_X, 0.5 - STUMP_Y, stump_params())
         assert tree.feature == [0, -1, -1]
         assert tree.threshold[0] == 0.5
         assert tree.gain[0] == pytest.approx(0.25)
@@ -136,25 +146,25 @@ class TestBuildTree:
         assert tree.value == [0.0, -0.5, 0.5]
 
     def test_gamma_suppresses_split(self):
-        tree = build_tree(STUMP_X, 0.5 - STUMP_Y, stump_params(gamma=0.3))
+        tree = grow(STUMP_X, 0.5 - STUMP_Y, stump_params(gamma=0.3))
         assert tree.feature == [-1]
         assert tree.value == [0.0]
 
     def test_depth_zero_is_leaf(self, rng):
         X = rng.uniform(size=(10, 3))
         g = -rng.uniform(size=10)
-        tree = build_tree(X, g, stump_params(max_depth=0))
+        tree = grow(X, g, stump_params(max_depth=0))
         assert tree.feature == [-1]
 
     def test_depth_bound_holds(self, rng):
         X = rng.uniform(size=(30, 3))
         g = -rng.uniform(size=30)
-        tree = build_tree(X, g, stump_params(max_depth=3))
+        tree = grow(X, g, stump_params(max_depth=3))
         assert max(node_depths(tree)) <= 3
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            build_tree(np.empty((0, 2)), np.empty(0), stump_params())
+            grow(np.empty((0, 2)), np.empty(0), stump_params())
 
 
 def enumerate_best_split(X, g, params):
@@ -208,7 +218,7 @@ class TestGreedyMatchesEnumeration:
         checked_splits = 0
         for _ in range(200):
             X, g, params = random_split_case(rng)
-            tree = build_tree(X, g, params)
+            tree = grow(X, g, params)
             expected = enumerate_best_split(X, g, params)
             if expected is None:
                 assert tree.feature == [-1]
@@ -221,9 +231,9 @@ class TestGreedyMatchesEnumeration:
         assert checked_splits > 50  # the generator must exercise real splits
 
     def test_constant_columns_yield_no_split(self):
-        xt = np.zeros((2, 5))
-        g = np.arange(5.0)
-        gain, col, thr = best_split_kernel(xt, g, 1.0, 0.0, 0.0)
+        cols, orders = presort(np.zeros((5, 2)))
+        g = [0.0, 1.0, 2.0, 3.0, 4.0]
+        gain, col, thr = best_split_kernel(cols, orders, range(5), g, 1.0, 0.0, 0.0)
         assert col == -1
 
 
@@ -301,12 +311,17 @@ def split_bits(result) -> str:
 
 class TestSplitKernelMatchesOracle:
     @settings(max_examples=200, deadline=None)
-    @given(split_problems())
-    def test_bit_identical(self, problem):
+    @given(split_problems(), st.data())
+    def test_bit_identical(self, problem, data):
         X, g, reg = problem
-        # build_tree passes the transposed view; the oracle read a C-order copy.
-        got = best_split_kernel(X.T, g, *reg)
-        want = best_split_oracle(np.ascontiguousarray(X.T), g, *reg)
+        # A node holds any subset of the fit's rows. The kernel reads the
+        # fit's presorted orders cut down to those rows; the oracle sorts a
+        # C-order copy of the node's own rows.
+        rows = sorted(data.draw(st.sets(st.integers(0, len(X) - 1), min_size=1)))
+        cols, orders = presort(X)
+        node_orders = [[r for r in order if r in rows] for order in orders]
+        got = best_split_kernel(cols, node_orders, rows, g.tolist(), *reg)
+        want = best_split_oracle(np.ascontiguousarray(X[rows].T), g[rows], *reg)
         assert split_bits(got) == split_bits(want)
 
     def test_tie_order_sets_the_gradient_sum(self):
@@ -315,7 +330,7 @@ class TestSplitKernelMatchesOracle:
         # depends on the order its rows are added in; in row order it is 6.0.
         xt = np.array([[0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 1.0]])
         g = np.array([1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5])
-        got = best_split_kernel(xt, g, 1.0, 0.0, 0.0)
+        got = best_split_kernel(*presort(xt.T), range(10), g.tolist(), 1.0, 0.0, 0.0)
         assert split_bits(got) == split_bits(best_split_oracle(xt, g, 1.0, 0.0, 0.0))
         assert got[0] == 0.5 * (6.0**2 / 10.0 + 0.5**2 / 2.0 - 6.5**2 / 11.0)
 
@@ -436,9 +451,9 @@ class TestCoverIsRowCount:
         )
         sampled = []
 
-        def recording_build_tree(X_rows, g, params, rng=None):
-            sampled.append(X_rows)
-            return build_tree(X_rows, g, params, rng)
+        def recording_build_tree(cols, orders, rows, g, params, rng=None):
+            sampled.append(X[list(rows)])
+            return build_tree(cols, orders, rows, g, params, rng)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gbrt, "build_tree", recording_build_tree)
@@ -454,6 +469,199 @@ class TestCoverIsRowCount:
                     node = tree.left[node] if row[f] <= t else tree.right[node]
             internal = [i for i, f in enumerate(tree.feature) if f >= 0]
             assert [tree.cover[i] for i in internal] == [float(reached[i]) for i in internal]
+
+
+def reference_build_tree(X, g, params, rng=None) -> Tree:
+    """The per-node grower that preceded presorting, kept as the reference
+    build_tree must match bit for bit: each node slices its rows out of numpy
+    arrays, the numpy-scalar scan sorts them, and a leaf sums with numpy."""
+    d = X.shape[1]
+    if params.colsample_bytree < 1.0 and rng is not None:
+        n_cols = math.ceil(params.colsample_bytree * d)
+        columns = np.sort(rng.choice(d, size=n_cols, replace=False))
+    else:
+        columns = np.arange(d)
+    tree = Tree()
+    stack = [(X, g, 0, -1)]
+    while stack:
+        X, g, depth, parent = stack.pop()
+        gain, col_local = 0.0, -1
+        if depth < params.max_depth and X.shape[0] >= 2:
+            gain, col_local, threshold = best_split_oracle(
+                np.ascontiguousarray(X[:, columns].T), g,
+                params.reg_lambda, params.reg_alpha, params.gamma,
+            )
+        if col_local < 0 or gain <= 0.0:
+            value = leaf_weight(float(g.sum()), float(len(g)), params)
+            gbrt._add_node(tree, parent, value=value)
+            continue
+        feature = int(columns[col_local])
+        node = gbrt._add_node(
+            tree, parent, feature, float(threshold), float(gain), float(len(g))
+        )
+        mask = X[:, feature] <= threshold
+        stack.append((X[~mask], g[~mask], depth + 1, node))
+        stack.append((X[mask], g[mask], depth + 1, -1))
+    return tree
+
+
+def reference_predict_tree(tree: Tree, X) -> np.ndarray:
+    out = []
+    for row in X.tolist():
+        node = 0
+        while tree.feature[node] >= 0:
+            f = tree.feature[node]
+            node = tree.left[node] if row[f] <= tree.threshold[node] else tree.right[node]
+        out.append(tree.value[node])
+    return np.array(out, dtype=float)
+
+
+def reference_fit(X, y, params) -> list[Tree]:
+    """The trees of the per-node `fit`: every round grows a full tree and
+    walks it for every row."""
+    rng = np.random.default_rng(params.seed)
+    n = X.shape[0]
+    trees = []
+    preds = np.full(n, params.base_score, dtype=float)
+    for _ in range(params.n_estimators):
+        g = preds - y
+        if params.subsample < 1.0:
+            n_rows = math.ceil(params.subsample * n)
+            rows = np.sort(rng.choice(n, size=n_rows, replace=False))
+        else:
+            rows = np.arange(n)
+        tree = reference_build_tree(X[rows], g[rows], params, rng)
+        tree.value = [v * params.eta for v in tree.value]
+        trees.append(tree)
+        preds += reference_predict_tree(tree, X)
+    return trees
+
+
+def tree_bits(tree: Tree) -> list:
+    """All 7 node lists, floats by their bits."""
+    return [
+        [x.hex() if isinstance(x, float) else x for x in getattr(tree, f.name)]
+        for f in fields(Tree)
+    ]
+
+
+# Few distinct values, -0.0 among them, give tied features and targets; a
+# base score of -0.0 makes a leaf of +0.0 change the predictions' bits.
+tie_values = st.sampled_from([0.0, -0.0, 0.25, 1.0]) | st.floats(-4.0, 4.0)
+
+
+@st.composite
+def boosting_problems(draw):
+    n = draw(st.integers(1, 19))
+    d = draw(st.integers(1, 4))
+    X = np.array(
+        draw(st.lists(tie_values, min_size=n * d, max_size=n * d)), dtype=float
+    ).reshape(n, d)
+    y = np.array(draw(st.lists(tie_values, min_size=n, max_size=n)), dtype=float)
+    # Half the fits draw no random numbers, so they can reach a fixed point.
+    sampling = draw(st.booleans())
+    params = GbrtParams(
+        n_estimators=draw(st.integers(0, 40)),
+        max_depth=draw(st.integers(0, 4)),
+        eta=draw(st.sampled_from([0.3, 0.95, 1.0])),
+        gamma=draw(st.sampled_from([0.0, 0.005])),
+        reg_lambda=draw(st.sampled_from([0.0, 0.81, 1.65])),
+        reg_alpha=draw(st.sampled_from([0.0, 0.11, 1.1])),
+        subsample=draw(st.sampled_from([0.7, 1.0])) if sampling else 1.0,
+        colsample_bytree=draw(st.sampled_from([0.6, 1.0])) if sampling else 1.0,
+        base_score=draw(st.sampled_from([0.5, 0.0, -0.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    m = draw(st.integers(1, 4))
+    X_new = np.array(draw(st.lists(tie_values, min_size=m * d, max_size=m * d)), dtype=float)
+    return X, y, params, X_new.reshape(m, d)
+
+
+def assert_matches_reference(X, y, params, X_new):
+    try:
+        want = reference_fit(X, y, params)
+    except ZeroDivisionError:
+        # A midpoint between subnormal neighbours can round onto the lower
+        # one, so every row goes left and, with reg_lambda 0, the empty right
+        # leaf divides by zero. The reference fails there too.
+        with pytest.raises(ZeroDivisionError):
+            gbrt.fit(X, y, params)
+        return
+    model = gbrt.fit(X, y, params)
+    assert [tree_bits(t) for t in model.trees] == [tree_bits(t) for t in want]
+    stage = np.full(len(X_new), params.base_score, dtype=float)
+    stages = list(model.staged_predict(X_new))
+    assert len(stages) == len(want) + 1
+    assert stages[0].tobytes() == stage.tobytes()
+    for tree, got in zip(want, stages[1:]):
+        stage = stage + reference_predict_tree(tree, X_new)
+        assert got.tobytes() == stage.tobytes()
+
+
+class TestMatchesPerNodeReference:
+    """Presorted growth, leaf updates from the partition and the fixed-point
+    stop give the trees and staged predictions of the per-node reference,
+    bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(boosting_problems())
+    def test_bit_identical(self, problem):
+        assert_matches_reference(*problem)
+
+    @pytest.mark.parametrize(
+        "reg_alpha, gamma, grown_trees",
+        # Once every |G| <= alpha, gamma > 0 leaves a single leaf of -0.0.
+        # Without gamma, a split gaining only rounding noise (4.9e-33) with
+        # two leaves of +-0.0 is a fixed point as well.
+        [(0.11, 0.005, 4), (1.1, 0.0, 25)],
+    )
+    def test_fixed_point_stop_matches(self, monkeypatch, reg_alpha, gamma, grown_trees):
+        X = np.array([[0.0], [0.25], [0.5], [1.0], [-0.0]])
+        y = np.array([0.1, 0.4, 0.2, 0.9, 0.0])
+        params = GbrtParams(
+            n_estimators=60, max_depth=2, eta=0.95, reg_alpha=reg_alpha, gamma=gamma
+        )
+        grown = []
+
+        def counting_build_tree(*args):
+            grown.append(1)
+            return build_tree(*args)
+
+        monkeypatch.setattr(gbrt, "build_tree", counting_build_tree)
+        model = gbrt.fit(X, y, params)
+        assert len(grown) == grown_trees
+        last = model.trees[grown_trees - 1]
+        assert model.trees[grown_trees:] == [last] * (60 - grown_trees)
+        assert all(t is not last and t.value is not last.value for t in model.trees[grown_trees:])
+        assert_matches_reference(X, y, params, X)
+
+    def test_positive_zero_leaf_on_negative_zero_prediction_is_not_a_fixed_point(self):
+        # p + 0.0 turns a prediction of -0.0 into 0.0, so the first tree,
+        # a leaf of +0.0, changes bits and the second is grown from new
+        # gradients; numerically both rounds look the same.
+        X = np.array([[0.0], [1.0]])
+        y = np.array([0.0, 0.0])
+        params = GbrtParams(n_estimators=3, max_depth=1, base_score=-0.0, reg_alpha=0.5)
+        assert_matches_reference(X, y, params, X)
+
+
+class TestPairwiseSum:
+    """The leaf's gradient sum is numpy's pairwise sum, emulated on Python floats."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0]) | gradients, min_size=1, max_size=19))
+    def test_matches_numpy_sum(self, values):
+        assert gbrt._pairwise_sum(values).hex() == float(np.sum(values)).hex()
+
+    @pytest.mark.parametrize("n", range(1, 20))
+    def test_signed_zeros(self, n):
+        for values in ([-0.0] * n, [(-0.0, 0.0)[i % 2] for i in range(n)]):
+            assert gbrt._pairwise_sum(values).hex() == float(np.sum(values)).hex()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(gradients, min_size=120, max_size=400))
+    def test_long_runs_split_as_numpy_does(self, values):
+        assert gbrt._pairwise_sum(values).hex() == float(np.sum(values)).hex()
 
 
 class TestPredict:
