@@ -30,9 +30,11 @@ def best_split_kernel(cols, orders, rows, g, reg_lambda, reg_alpha, gamma):
     Under squared error every hessian is 1, so a side's hessian sum in the
     second-order gain is its row count.
     Returns (gain, column index into cols, threshold); column is -1 when no
-    candidate exists (all columns constant). Ties keep the first candidate
-    in (column, ascending threshold) order, so callers must pass columns in
-    ascending original-feature order.
+    candidate exists (all columns constant). The threshold is the midpoint
+    of the two neighbouring values v < v_next, or v where the midpoint is
+    not in [v, v_next), so a split never leaves a side empty. Ties keep the
+    first candidate in (column, ascending threshold) order, so callers must
+    pass columns in ascending original-feature order.
     """
     total_g = 0.0
     for r in rows:
@@ -77,6 +79,11 @@ def best_split_kernel(cols, orders, rows, g, reg_lambda, reg_alpha, gamma):
                 best_gain = gain
                 best_col = j
                 best_thr = (v + v_next) * 0.5
+                # The midpoint of neighbouring subnormals can round up to
+                # v_next, and near the largest float it overflows; then
+                # only v itself still sends v left and v_next right.
+                if not v <= best_thr < v_next:
+                    best_thr = v
     return best_gain, best_col, best_thr
 
 

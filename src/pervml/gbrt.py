@@ -1,8 +1,9 @@
 """Regularized gradient-boosted regression trees, trained second-order.
 
 Trees are grown by exact greedy search: every midpoint between consecutive
-distinct values of every candidate column is scored, and the split with the
-largest regularized loss reduction wins. Leaf values come from the closed
+distinct values of every candidate column is scored (the lower value where
+the midpoint rounds out of the gap), and the split with the largest
+regularized loss reduction wins. Leaf values come from the closed
 form -soft_threshold(G, alpha) / (H + lambda); a split is kept only when its
 gain (which already subtracts the per-leaf penalty gamma) is positive.
 Squared-error loss throughout: gradient y_hat - y and hessian 1, so a
@@ -36,10 +37,20 @@ at its fixed point: once a tree leaves every training prediction unchanged
 bit for bit, the next gradients, and so every later tree, are the same, so
 `fit` appends copies of it and stops growing. The test is on the bits, not
 on ==, because adding a leaf of 0.0 turns a prediction of -0.0 into 0.0.
+
+A fit's random draws read neither the data nor the gradients: round k's
+sampled rows and columns are the k-th draws of `default_rng(seed)`, so they
+are a pure function of (seed, n, d, subsample, colsample_bytree) and the
+number of rounds. `_sample_schedule` makes them all at once and keeps the
+last few schedules, as tuples no fit can change. Grid search fits many
+settings and folds with the same seed, rates and row count, and they share
+one schedule instead of each drawing its own; the trees are the same bit
+for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -213,14 +224,13 @@ def _pairwise_block(v: list, lo: int, n: int) -> float:
     return total
 
 
-def build_tree(cols, orders, rows, g, params: GbrtParams, rng=None):
+def build_tree(cols, orders, rows, g, params: GbrtParams, columns=None):
     """Grow one tree by exact greedy search, depth first from an explicit stack.
 
     cols and orders are `presort` of the fit's features; rows are the rows
     the tree is grown on, in ascending order; g holds every row's gradient.
-    When colsample_bytree < 1 and an rng is given, the tree sees only a
-    random draw of ceil(colsample_bytree * d) columns (without replacement,
-    kept in ascending index order so tie-breaking stays by original index).
+    columns are the candidate columns in ascending index order, so
+    tie-breaking stays by original index; None means every column.
 
     Each node carries its rows and, for each candidate column, its rows in
     that column's order. A split partitions every one of these lists with
@@ -229,12 +239,8 @@ def build_tree(cols, orders, rows, g, params: GbrtParams, rng=None):
     """
     if not rows:
         raise ValueError("need at least one sample")
-    d = len(cols)
-    if params.colsample_bytree < 1.0 and rng is not None:
-        n_cols = math.ceil(params.colsample_bytree * d)
-        columns = sorted(rng.choice(d, size=n_cols, replace=False).tolist())
-    else:
-        columns = list(range(d))
+    if columns is None:
+        columns = range(len(cols))
     tree_cols = [cols[c] for c in columns]
     if len(rows) == len(g):
         node_orders = [orders[c] for c in columns]
@@ -289,12 +295,42 @@ def _copy_tree(tree: Tree) -> Tree:
     return Tree(**{name: list(nodes) for name, nodes in vars(tree).items()})
 
 
+@functools.lru_cache(maxsize=32)
+def _sample_schedule(seed, n, d, subsample, colsample_bytree, rounds):
+    """Every round's (sampled rows, left-out rows, candidate columns).
+
+    One `default_rng(seed)` makes, each round, ceil(subsample * n) row draws
+    without replacement when subsample < 1, then ceil(colsample_bytree * d)
+    column draws when colsample_bytree < 1. Rows and columns are sorted
+    ascending. Everything is a tuple, so the schedule a fit gets from the
+    cache is safe to share with every other fit of the same key.
+    """
+    rng = np.random.default_rng(seed)
+    all_rows, all_cols = tuple(range(n)), tuple(range(d))
+    n_rows = math.ceil(subsample * n)
+    n_cols = math.ceil(colsample_bytree * d)
+    schedule = []
+    for _ in range(rounds):
+        rows, left_out, columns = all_rows, (), all_cols
+        if subsample < 1.0:
+            rows = tuple(sorted(rng.choice(n, size=n_rows, replace=False).tolist()))
+            sampled = set(rows)
+            left_out = tuple(r for r in all_rows if r not in sampled)
+        if colsample_bytree < 1.0:
+            columns = tuple(sorted(rng.choice(d, size=n_cols, replace=False).tolist()))
+        schedule.append((rows, left_out, columns))
+    return tuple(schedule)
+
+
 def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
     """Additive training: each round fits a tree to the current gradients.
 
     Row subsampling draws ceil(subsample * n) rows without replacement per
-    tree; out-of-sample rows still receive the prediction update so the next
-    round's gradients are consistent. Deterministic for a fixed seed.
+    tree, and column subsampling ceil(colsample_bytree * d) columns;
+    out-of-sample rows still receive the prediction update so the next
+    round's gradients are consistent. The draws depend only on the seed,
+    the shape and the rates (`_sample_schedule`), so equal params give
+    equal trees on equal data.
 
     Columns are sorted once per fit and a draw-free fit stops at its fixed
     point (see the module docstring); neither changes a bit of the trees.
@@ -314,7 +350,6 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
     if len(feature_names) != d:
         raise ValueError("feature_names length must match column count")
 
-    rng = np.random.default_rng(params.seed)
     ensemble = TreeEnsemble(
         base_score=params.base_score, eta=params.eta, feature_names=feature_names
     )
@@ -323,17 +358,17 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
     y = y.tolist()
     preds = [params.base_score] * n
     draws = params.subsample < 1.0 or params.colsample_bytree < 1.0
+    if draws:
+        schedule = _sample_schedule(
+            params.seed, n, d, params.subsample, params.colsample_bytree,
+            params.n_estimators,
+        )
+    else:
+        schedule = [(range(n), (), None)] * params.n_estimators
     bits = struct.Struct(f"{n}d").pack
-    all_rows = range(n)
-    rows, left_out = all_rows, []
-    for _ in range(params.n_estimators):
+    for rows, left_out, columns in schedule:
         g = [p - t for p, t in zip(preds, y)]
-        if params.subsample < 1.0:
-            n_rows = math.ceil(params.subsample * n)
-            rows = sorted(rng.choice(n, size=n_rows, replace=False).tolist())
-            sampled = set(rows)
-            left_out = [r for r in all_rows if r not in sampled]
-        tree, leaves = build_tree(cols, orders, rows, g, params, rng)
+        tree, leaves = build_tree(cols, orders, rows, g, params, columns)
         value = tree.value = [v * params.eta for v in tree.value]
         ensemble.trees.append(tree)
         new = preds[:]

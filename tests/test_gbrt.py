@@ -90,11 +90,11 @@ def stump_params(**overrides):
     return GbrtParams(**base)
 
 
-def grow(X, g, params, rng=None) -> Tree:
-    """build_tree on every row of X, as `fit` grows a tree when subsample is 1."""
+def grow(X, g, params) -> Tree:
+    """build_tree on every row and column of X, as `fit` grows a draw-free tree."""
     X = np.asarray(X, dtype=float)
     g = np.asarray(g, dtype=float).tolist()
-    tree, _ = build_tree(*presort(X), range(len(X)), g, params, rng)
+    tree, _ = build_tree(*presort(X), range(len(X)), g, params)
     return tree
 
 
@@ -179,7 +179,10 @@ def enumerate_best_split(X, g, params):
     for j in range(d):
         distinct = sorted(set(X[:, j]))
         for lo, hi in zip(distinct, distinct[1:]):
-            thr = (lo + hi) * 0.5
+            with np.errstate(over="ignore"):
+                thr = (lo + hi) * 0.5
+            if not lo <= thr < hi:
+                thr = lo
             mask = X[:, j] <= thr
             left = GradStats(float(g[mask].sum()), float(mask.sum()), int(mask.sum()))
             right = GradStats(
@@ -279,7 +282,10 @@ def best_split_oracle(xt, g, reg_lambda, reg_alpha, gamma):
             if gain > best_gain:
                 best_gain = gain
                 best_col = j
-                best_thr = (v + v_next) * 0.5
+                with np.errstate(over="ignore"):
+                    best_thr = (v + v_next) * 0.5
+                if not v <= best_thr < v_next:
+                    best_thr = v
     return best_gain, best_col, best_thr
 
 
@@ -333,6 +339,57 @@ class TestSplitKernelMatchesOracle:
         got = best_split_kernel(*presort(xt.T), range(10), g.tolist(), 1.0, 0.0, 0.0)
         assert split_bits(got) == split_bits(best_split_oracle(xt, g, 1.0, 0.0, 0.0))
         assert got[0] == 0.5 * (6.0**2 / 10.0 + 0.5**2 / 2.0 - 6.5**2 / 11.0)
+
+
+def node_reach(tree: Tree, X) -> list[int]:
+    """How many rows of X reach each node of tree."""
+    reached = [0] * len(tree.feature)
+    for row in np.asarray(X, dtype=float).tolist():
+        node = 0
+        reached[node] += 1
+        while tree.feature[node] >= 0:
+            f, t = tree.feature[node], tree.threshold[node]
+            node = tree.left[node] if row[f] <= t else tree.right[node]
+            reached[node] += 1
+    return reached
+
+
+# (one feature column, targets) whose only useful split sits between two
+# values with no usable midpoint: -5e-324 and 0.0, whose midpoint rounds
+# to -0.0 (and 0.0 <= -0.0), and two values whose sum overflows to inf.
+UNSPLITTABLE_MIDPOINTS = {
+    "subnormal": ([0.0] * 9 + [-5e-324], [0.0] * 9 + [1.0]),
+    "overflow": ([1.7e308] * 3 + [1.79e308] * 3, [0.0] * 3 + [1.0] * 3),
+}
+
+
+class TestThresholdSeparates:
+    """A kept split's threshold sends its lower value left and the next
+    value right, even where their midpoint rounds out of the gap."""
+
+    @pytest.mark.parametrize("case", UNSPLITTABLE_MIDPOINTS)
+    def test_kernel_and_oracles_take_the_lower_value(self, case):
+        x, y = UNSPLITTABLE_MIDPOINTS[case]
+        X = np.array(x)[:, None]
+        g = 0.5 - np.array(y)
+        got = best_split_kernel(*presort(X), range(len(x)), g.tolist(), 0.0, 0.0, 0.0)
+        assert got[1] == 0 and got[2] == min(x)
+        assert split_bits(got) == split_bits(best_split_oracle(X.T.copy(), g, 0.0, 0.0, 0.0))
+        assert split_bits(got) == split_bits(enumerate_best_split(X, g, stump_params()))
+
+    @pytest.mark.parametrize("case", UNSPLITTABLE_MIDPOINTS)
+    def test_fit_grows_no_empty_child_and_saves(self, case, tmp_path):
+        x, y = UNSPLITTABLE_MIDPOINTS[case]
+        X = np.array(x)[:, None]
+        # reg_lambda 0: an empty leaf would divide 0 by 0.
+        model = gbrt.fit(X, np.array(y), stump_params(n_estimators=3, max_depth=1))
+        assert model.trees[0].feature[0] == 0
+        for tree in model.trees:
+            assert all(node_reach(tree, X))
+        np.testing.assert_array_equal(model.predict(X), y)
+        path = tmp_path / "model.json"
+        gbrt.save_model(model, path)
+        assert gbrt.load_model(path).trees == model.trees
 
 
 class TestFit:
@@ -451,9 +508,9 @@ class TestCoverIsRowCount:
         )
         sampled = []
 
-        def recording_build_tree(cols, orders, rows, g, params, rng=None):
+        def recording_build_tree(cols, orders, rows, g, params, columns=None):
             sampled.append(X[list(rows)])
-            return build_tree(cols, orders, rows, g, params, rng)
+            return build_tree(cols, orders, rows, g, params, columns)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gbrt, "build_tree", recording_build_tree)
@@ -578,15 +635,7 @@ def boosting_problems(draw):
 
 
 def assert_matches_reference(X, y, params, X_new):
-    try:
-        want = reference_fit(X, y, params)
-    except ZeroDivisionError:
-        # A midpoint between subnormal neighbours can round onto the lower
-        # one, so every row goes left and, with reg_lambda 0, the empty right
-        # leaf divides by zero. The reference fails there too.
-        with pytest.raises(ZeroDivisionError):
-            gbrt.fit(X, y, params)
-        return
+    want = reference_fit(X, y, params)
     model = gbrt.fit(X, y, params)
     assert [tree_bits(t) for t in model.trees] == [tree_bits(t) for t in want]
     stage = np.full(len(X_new), params.base_score, dtype=float)
@@ -643,6 +692,63 @@ class TestMatchesPerNodeReference:
         y = np.array([0.0, 0.0])
         params = GbrtParams(n_estimators=3, max_depth=1, base_score=-0.0, reg_alpha=0.5)
         assert_matches_reference(X, y, params, X)
+
+
+class TestSampleSchedule:
+    """A fit's draws come from one cached schedule per (seed, n, d, rates,
+    rounds); sharing it changes no bit of any tree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 20),
+        st.integers(1, 4),
+        unit_interval,
+        unit_interval,
+        st.integers(0, 2**32 - 1),
+    )
+    def test_cold_and_warm_fits_are_identical(self, n, d, subsample, colsample, seed):
+        data = np.random.default_rng(seed)
+        X, y = data.integers(0, 6, size=(n, d)) / 5.0, data.uniform(size=n)
+        params = GbrtParams(
+            n_estimators=6, max_depth=3, subsample=subsample,
+            colsample_bytree=colsample, seed=seed,
+        )
+        gbrt._sample_schedule.cache_clear()
+        cold = gbrt.fit(X, y, params)
+        warm = gbrt.fit(X, y, params)
+        assert [tree_bits(t) for t in warm.trees] == [tree_bits(t) for t in cold.trees]
+        draws = subsample < 1.0 or colsample < 1.0
+        assert gbrt._sample_schedule.cache_info().hits == int(draws)
+
+    def test_draw_free_fit_makes_no_rng_and_skips_the_cache(self, monkeypatch, rng):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a draw-free fit made an rng")
+
+        before = gbrt._sample_schedule.cache_info()
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        gbrt.fit(rng.uniform(size=(8, 3)), rng.uniform(size=8), GbrtParams(n_estimators=5))
+        assert gbrt._sample_schedule.cache_info() == before
+
+    def test_fits_on_different_data_share_one_schedule(self, rng):
+        params = GbrtParams(n_estimators=5, subsample=0.7, colsample_bytree=0.7, seed=3)
+        gbrt._sample_schedule.cache_clear()
+        gbrt.fit(rng.uniform(size=(10, 3)), rng.uniform(size=10), params)
+        gbrt.fit(rng.uniform(size=(10, 3)), rng.uniform(size=10), replace(params, eta=0.5))
+        info = gbrt._sample_schedule.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert info.maxsize is not None
+
+    def test_entries_are_immutable_and_consistent(self):
+        n, d = 10, 3
+        schedule = gbrt._sample_schedule(7, n, d, 0.7, 0.6, 4)
+        assert isinstance(schedule, tuple) and len(schedule) == 4
+        for entry in schedule:
+            assert isinstance(entry, tuple)
+            rows, left_out, columns = entry
+            assert all(isinstance(part, tuple) for part in entry)
+            assert len(rows) == 7 and list(rows) == sorted(rows)
+            assert sorted(rows + left_out) == list(range(n))
+            assert len(columns) == 2 and list(columns) == sorted(columns)
 
 
 class TestPairwiseSum:
