@@ -7,9 +7,11 @@ feeds. The split scan takes lists that `gbrt.fit` builds once per fit: the
 feature columns, each candidate column's rows presorted by value and
 partitioned down to the node, and the gradients, so it neither sorts nor
 converts. SMO turns its numpy inputs into lists once per call with
-`.tolist()`. Python floats are IEEE doubles like float64, so these loops
-return, bit for bit, what the same loops return on numpy scalars; the tests
-keep those as oracles. These loops are the only implementation.
+`.tolist()`, and each of its iterations walks the coefficients once: that
+pass both adds the last step to v = K @ beta and selects the next pair.
+Python floats are IEEE doubles like float64, so these loops return, bit for
+bit, what the same loops return on numpy scalars; the tests keep those as
+oracles. These loops are the only implementation.
 """
 
 from __future__ import annotations
@@ -94,7 +96,14 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     sum(beta) = 0. Each iteration picks the maximal violating pair, then
     maximizes the dual exactly along the feasible direction (the objective
     is piecewise quadratic with kinks where a coefficient crosses zero).
-    K and y are float64 arrays; C, eps and tol are floats.
+    K and y are float64 arrays; C, eps and tol are floats. K must be finite
+    (svr.fit raises otherwise); an inf or nan entry leaves the dual undefined.
+
+    Each iteration walks the coefficients once. That pass adds the last
+    step to v = K @ beta, as `v[t] + (K[t, i]*d_i + K[t, j]*d_j)`, and picks
+    the next pair from e = y - v, the first index winning a tie. The first
+    pass adds a zero step read from beta's zeros, not from K, so v stays
+    +0.0 and an empty problem reads no column.
 
     Returns (beta, max_up, min_low, n_iter, converged): beta is a float64
     array; max_up / min_low bracket the feasible bias interval at
@@ -109,32 +118,33 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     v = [0.0] * n  # K @ beta, maintained incrementally
     neg_C = -C
     it = 0
+    col_i = col_j = beta  # the first move is zero along beta's zeros
+    d_i = d_j = 0.0
     while True:
-        # Maximal violating pair: i may move up, j may move down.
-        i_up = -1
+        # Add the last move to v; pick the maximal violating pair, i up, j down.
+        i = -1
         up_best = -np.inf
-        i_low = -1
+        j = -1
         low_best = np.inf
-        for t, (yt, vt, bt) in enumerate(zip(y, v, beta)):
+        for t, (yt, vt, bt, a, b) in enumerate(zip(y, v, beta, col_i, col_j)):
+            v[t] = vt = vt + (a * d_i + b * d_j)
             e = yt - vt
             if bt < C:
                 s = e - eps if bt >= 0.0 else e + eps
                 if s > up_best:
                     up_best = s
-                    i_up = t
+                    i = t
             if bt > neg_C:
                 s = e - eps if bt > 0.0 else e + eps
                 if s < low_best:
                     low_best = s
-                    i_low = t
-        if i_up < 0 or i_low < 0 or up_best - low_best <= tol:
+                    j = t
+        if i < 0 or j < 0 or up_best - low_best <= tol:
             return np.array(beta, dtype=float), up_best, low_best, it, True
         if it >= max_iter:
             return np.array(beta, dtype=float), up_best, low_best, it, False
         it += 1
 
-        i = i_up
-        j = i_low
         bi = beta[i]
         bj = beta[j]
         col_i = cols[i]
@@ -186,4 +196,3 @@ def smo_solve(K, y, C, eps, tol, max_iter):
 
         d_i = beta[i] - bi
         d_j = beta[j] - bj
-        v = [vt + (a * d_i + b * d_j) for vt, a, b in zip(v, col_i, col_j)]

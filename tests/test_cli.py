@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from pervml import cli
+from pervml import _kernels, cli
 from pervml.data import bundled_path
+from pervml.svr import SvrConvergenceWarning
 
 
 def run_cli(*argv):
@@ -355,6 +356,29 @@ class TestTune:
         best = (out / "best_params_svr_compressive.txt").read_text()
         assert f"CV mean MSE {cv[2][-3]};" in best
         assert "degree = 2\n" in best
+
+    def test_every_cap_hit_escapes_as_one_warning(self, tmp_path, capsys, monkeypatch):
+        # The benchmark's traced run fails when its SvrConvergenceWarning count
+        # differs from the SMO cap hits, so neither the CLI nor svr.fit may
+        # swallow or merge them. This combination hits the cap in CV.
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[svr]\nkernel = linear\nC = 200\nepsilon = 0.01\n")
+        solve = _kernels.smo_solve
+        converged = []
+
+        def counting_solve(*args):
+            result = solve(*args)
+            converged.append(result[4])
+            return result
+
+        monkeypatch.setattr(_kernels, "smo_solve", counting_solve)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli("tune", "--model", "svr", "--grid", str(grid), "--out", str(tmp_path))
+        assert rc == 0
+        cap_hits = converged.count(False)
+        assert cap_hits >= 2
+        assert sum(issubclass(w.category, SvrConvergenceWarning) for w in caught) == cap_hits
 
 
 class TestSensitivity:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pervml import svr
 from pervml._kernels import smo_solve
+from pervml.data import fit_scaler, load_bundled, reference_split, split
 from pervml.modelio import ModelIOError
 from pervml.pipeline import load_reference
 from pervml.svr import (
@@ -17,6 +18,7 @@ from pervml.svr import (
     gram_matrix,
     kkt_violation,
 )
+from pervml.tuning import kfold_indices, target_slice
 
 
 def kernel_eval(params: SvrParams, x1, x2) -> float:
@@ -233,10 +235,11 @@ def smo_bits(result) -> tuple:
 
 @st.composite
 def smo_problems(draw):
-    """(K, y, C, eps, tol, max_iter) over every kernel. A K may have one
-    off-diagonal entry an ulp away from its mirror, small C puts coefficients
-    on the box, and small max_iter hits the cap."""
-    n = draw(st.integers(1, 10))
+    """(K, y, C, eps, tol, max_iter) over every kernel, n up to the 19 rows
+    of a training slice. A K may have one off-diagonal entry an ulp away
+    from its mirror, small C puts coefficients on the box, and small
+    max_iter hits the cap."""
+    n = draw(st.integers(1, 19))
     unit = st.floats(-1.0, 1.0)
     rows = st.lists(st.lists(unit, min_size=3, max_size=3), min_size=n, max_size=n)
     X = np.array(draw(rows))
@@ -260,6 +263,19 @@ def smo_problems(draw):
     )
 
 
+def compressive_fold_problem():
+    """The tune-svr combination behind most cap hits: linear kernel, C = 200,
+    epsilon = 0.01, on the compressive training slice less its last fold at
+    fold seed 42 (16 rows). SMO needs 32,475 iterations here; the cap is 300."""
+    ds = load_bundled()
+    train, _ = split(ds, reference_split(ds))
+    sl = target_slice(train, "compressive", fit_scaler(ds))
+    keep = np.ones(sl.y.shape[0], dtype=bool)
+    keep[kfold_indices(sl.y.shape[0], 5, 42)[-1]] = False
+    X = sl.X[keep]
+    return gram_matrix(SvrParams(kernel="linear"), X, X), sl.y[keep], 200.0, 0.01, 1e-3, 300
+
+
 class TestSmoMatchesOracle:
     @settings(max_examples=200, deadline=None)
     @given(smo_problems())
@@ -271,7 +287,22 @@ class TestSmoMatchesOracle:
     @example(  # the first pair lands on the box, then the cap stops the second
         (np.eye(4), np.array([1.0, -1.0, 0.5, -0.5]), 0.01, 0.0, 1e-3, 1)
     )
+    @example(  # every coefficient ends on the box
+        (np.eye(4), np.array([1.0, -1.0, 0.5, -0.5]), 0.01, 0.0, 1e-3, 100)
+    )
+    @example(  # after one step every e is a signed zero: the first index wins
+        # the tie, so max_up is -0.0 and min_low 0.0
+        (np.eye(6), np.array([-0.0, 0.0, 1.0, -0.0, -1.0, 0.0]), 1.0, 0.0, 1e-3, 100)
+    )
+    @example(compressive_fold_problem())
     def test_bit_identical(self, problem):
+        assert smo_bits(smo_solve(*problem)) == smo_bits(smo_oracle(*problem))
+
+    def test_empty_problem(self):
+        problem = (np.empty((0, 0)), np.empty(0), 1.0, 0.1, 1e-3, 100)
+        beta, max_up, min_low, n_iter, converged = smo_solve(*problem)
+        assert beta.shape == (0,)
+        assert (max_up, min_low, n_iter, converged) == (-np.inf, np.inf, 0, True)
         assert smo_bits(smo_solve(*problem)) == smo_bits(smo_oracle(*problem))
 
 
