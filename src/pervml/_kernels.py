@@ -9,6 +9,9 @@ partitioned down to the node, and the gradients, so it neither sorts nor
 converts. SMO turns its numpy inputs into lists once per call with
 `.tolist()`, and each of its iterations walks the coefficients once: that
 pass both adds the last step to v = K @ beta and selects the next pair.
+SMO keeps each coefficient's set membership as two offsets beside beta,
+reset only for the two coefficients a step moves, so that pass adds an
+offset to e instead of branching on beta.
 Python floats are IEEE doubles like float64, so these loops return, bit for
 bit, what the same loops return on numpy scalars; the tests keep those as
 oracles. These loops are the only implementation.
@@ -17,6 +20,8 @@ oracles. These loops are the only implementation.
 from __future__ import annotations
 
 import numpy as np
+
+INF = float("inf")
 
 # Run records note which kernel path ran; these loops are the only one.
 NUMBA_ENABLED = False
@@ -55,7 +60,7 @@ def best_split_kernel(cols, orders, rows, g, reg_lambda, reg_alpha, gamma):
         den_r.append(total_h - hl + reg_lambda)
         hl += 1.0
 
-    best_gain = -np.inf
+    best_gain = -INF
     best_col = -1
     best_thr = 0.0
     for j, (col, order) in enumerate(zip(cols, orders)):
@@ -96,14 +101,26 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     sum(beta) = 0. Each iteration picks the maximal violating pair, then
     maximizes the dual exactly along the feasible direction (the objective
     is piecewise quadratic with kinks where a coefficient crosses zero).
-    K and y are float64 arrays; C, eps and tol are floats. K must be finite
-    (svr.fit raises otherwise); an inf or nan entry leaves the dual undefined.
+    K and y are float64 arrays; C, eps and tol are floats, C > 0 (SvrParams
+    checks it). K must be finite (svr.fit raises otherwise); an inf or nan
+    entry leaves the dual undefined.
 
     Each iteration walks the coefficients once. That pass adds the last
     step to v = K @ beta, as `v[t] + (K[t, i]*d_i + K[t, j]*d_j)`, and picks
     the next pair from e = y - v, the first index winning a tie. The first
     pass adds a zero step read from beta's zeros, not from K, so v stays
     +0.0 and an empty problem reads no column.
+
+    The pass does not branch on beta: it reads each coefficient's offsets
+    up[t] and low[t] and tests s = e + up[t] and s = e + low[t]. up[t] is
+    -eps for 0 <= beta[t] < C, +eps for beta[t] < 0 and -inf for
+    beta[t] >= C; low[t] is -eps for beta[t] > 0, +eps for
+    -C < beta[t] <= 0 and +inf for beta[t] <= -C. After a step only
+    beta[i] and beta[j] have moved, so only their offsets are reset. This
+    is bit for bit the branching selection: e + (-eps) is exactly e - eps
+    in IEEE 754, signed zeros included, and a coefficient that a set leaves
+    out gets s = e - inf (up) or e + inf (low), an infinity or nan, which
+    fails the strict `>` / `<` tests just as skipping it does.
 
     Returns (beta, max_up, min_low, n_iter, converged): beta is a float64
     array; max_up / min_low bracket the feasible bias interval at
@@ -117,28 +134,29 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     beta = [0.0] * n
     v = [0.0] * n  # K @ beta, maintained incrementally
     neg_C = -C
+    # beta = 0 is strictly inside the box, so it starts in both sets.
+    up = [-eps] * n
+    low = [eps] * n
     it = 0
     col_i = col_j = beta  # the first move is zero along beta's zeros
     d_i = d_j = 0.0
     while True:
         # Add the last move to v; pick the maximal violating pair, i up, j down.
         i = -1
-        up_best = -np.inf
+        up_best = -INF
         j = -1
-        low_best = np.inf
-        for t, (yt, vt, bt, a, b) in enumerate(zip(y, v, beta, col_i, col_j)):
+        low_best = INF
+        for t, (yt, vt, ut, lt, a, b) in enumerate(zip(y, v, up, low, col_i, col_j)):
             v[t] = vt = vt + (a * d_i + b * d_j)
             e = yt - vt
-            if bt < C:
-                s = e - eps if bt >= 0.0 else e + eps
-                if s > up_best:
-                    up_best = s
-                    i = t
-            if bt > neg_C:
-                s = e - eps if bt > 0.0 else e + eps
-                if s < low_best:
-                    low_best = s
-                    j = t
+            s = e + ut
+            if s > up_best:
+                up_best = s
+                i = t
+            s = e + lt
+            if s < low_best:
+                low_best = s
+                j = t
         if i < 0 or j < 0 or up_best - low_best <= tol:
             return np.array(beta, dtype=float), up_best, low_best, it, True
         if it >= max_iter:
@@ -152,11 +170,13 @@ def smo_solve(K, y, C, eps, tol, max_iter):
         # Direction beta[i] += s, beta[j] -= s preserves sum(beta).
         rho = col_i[i] + col_j[j] - 2.0 * col_j[i]
         deriv = up_best - low_best
-        s_box = min(C - bi, bj + C)
+        s_box = C - bi
+        if bj + C < s_box:
+            s_box = bj + C
         # Kinks where a coefficient crosses zero drop the derivative by
         # 2*eps each; at most two of them inside (0, s_box).
-        k1 = -bi if bi < 0.0 else np.inf
-        k2 = bj if bj > 0.0 else np.inf
+        k1 = -bi if bi < 0.0 else INF
+        k2 = bj if bj > 0.0 else INF
         if k2 < k1:
             k1, k2 = k2, k1
 
@@ -196,3 +216,10 @@ def smo_solve(K, y, C, eps, tol, max_iter):
 
         d_i = beta[i] - bi
         d_j = beta[j] - bj
+        # Only beta[i] and beta[j] moved, so only their offsets change.
+        bt = beta[i]
+        up[i] = (-eps if bt >= 0.0 else eps) if bt < C else -INF
+        low[i] = (-eps if bt > 0.0 else eps) if bt > neg_C else INF
+        bt = beta[j]
+        up[j] = (-eps if bt >= 0.0 else eps) if bt < C else -INF
+        low[j] = (-eps if bt > 0.0 else eps) if bt > neg_C else INF

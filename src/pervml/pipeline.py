@@ -69,10 +69,9 @@ def resolve_split(ds: Dataset, spec_text: str) -> frozenset:
         path = spec_text.split(":", 1)[1]
         try:
             with open(path, encoding="utf-8-sig") as fh:
+                lines = (line.strip() for line in fh)
                 return frozenset(
-                    line.strip()
-                    for line in fh
-                    if line.strip() and not line.startswith("#")
+                    line for line in lines if line and not line.startswith("#")
                 )
         except OSError as exc:
             raise DatasetError(f"cannot read split id file {path}: {exc}") from exc

@@ -43,6 +43,11 @@ class TestResolveSplit:
         train, test = split(bundled, test_ids)
         assert len(train) == 22 and len(test) == 2
 
+    def test_ids_file_indented_comment(self, bundled, tmp_path):
+        path = tmp_path / "test_ids.txt"
+        path.write_text("  # note\nC1\n\t# another\n")
+        assert resolve_split(bundled, f"ids:{path}") == frozenset({"C1"})
+
     def test_ids_file_with_byte_order_mark(self, bundled, tmp_path):
         plain = tmp_path / "plain.txt"
         plain.write_text("C11\nC12\n", encoding="utf-8")

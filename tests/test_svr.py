@@ -294,6 +294,19 @@ class TestSmoMatchesOracle:
         # the tie, so max_up is -0.0 and min_low 0.0
         (np.eye(6), np.array([-0.0, 0.0, 1.0, -0.0, -1.0, 0.0]), 1.0, 0.0, 1e-3, 100)
     )
+    @example(  # coefficient 2 lands on +C and its e, 0.5, stays the largest:
+        # it must leave the up set, so max_up is coefficient 1's -0.5
+        (np.eye(3), np.array([-0.75, -1.0, 0.75]), 0.25, 0.25, 1e-3, 100)
+    )
+    @example(  # coefficient 1 lands on -C with the smallest s, 0.375: it must
+        # leave the low set, so min_low is 0.625 and the first step converges
+        (np.eye(3), np.array([1.0, 0.0, 0.75]), 0.25, 0.125, 1e-3, 100)
+    )
+    @example(  # the second step stops at the kink where coefficient 0 returns
+        # to exactly 0.0; the cap then reports its s = e - eps as max_up
+        (np.array([[6.0, 2.0, -2.0], [2.0, 3.0, -1.0], [-2.0, -1.0, 3.0]]),
+         np.array([0.25, 0.25, -1.0]), 1.0, 0.25, 1e-3, 2)
+    )
     @example(compressive_fold_problem())
     def test_bit_identical(self, problem):
         assert smo_bits(smo_solve(*problem)) == smo_bits(smo_oracle(*problem))
