@@ -6,12 +6,14 @@ numpy array creates a numpy scalar, which costs more than the arithmetic it
 feeds. The split scan takes lists that `gbrt.fit` builds once per fit: the
 feature columns, each candidate column's rows presorted by value and
 partitioned down to the node, and the gradients, so it neither sorts nor
-converts. SMO turns its numpy inputs into lists once per call with
-`.tolist()`, and each of its iterations walks the coefficients once: that
-pass both adds the last step to v = K @ beta and selects the next pair.
-SMO keeps each coefficient's set membership as two offsets beside beta,
-reset only for the two coefficients a step moves, so that pass adds an
-offset to e instead of branching on beta.
+converts; its per-candidate denominators depend only on the node's row
+count and reg_lambda, and come from a small cache. SMO turns its numpy
+inputs into lists once per call with `.tolist()`, and each of its
+iterations walks the coefficients once: that pass both adds the last step
+to v = K @ beta and selects the next pair. SMO keeps each coefficient's
+set membership as two offsets beside beta, reset only for the two
+coefficients a step moves, so that pass adds an offset to e instead of
+branching on beta.
 Python floats are IEEE doubles like float64, so these loops return, bit for
 bit, what the same loops return on numpy scalars; the tests keep those as
 oracles. These loops are the only implementation.
@@ -19,12 +21,31 @@ oracles. These loops are the only implementation.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 INF = float("inf")
 
 # Run records note which kernel path ran; these loops are the only one.
 NUMBA_ENABLED = False
+
+
+@functools.lru_cache(maxsize=256)
+def _side_denominators(total_h, reg_lambda):
+    """The split scan's side denominators: hl + reg_lambda and
+    total_h - hl + reg_lambda for hl = 1.0, 2.0, ... below total_h, as two
+    tuples. They depend only on the node's row count and reg_lambda, so
+    split searches share them. reg_lambda's sign of zero, which the cache
+    does not tell apart, changes no entry: hl and total_h - hl are >= 1."""
+    den_l = []
+    den_r = []
+    hl = 1.0
+    while hl < total_h:
+        den_l.append(hl + reg_lambda)
+        den_r.append(total_h - hl + reg_lambda)
+        hl += 1.0
+    return tuple(den_l), tuple(den_r)
 
 
 def best_split_kernel(cols, orders, rows, g, reg_lambda, reg_alpha, gamma):
@@ -50,15 +71,10 @@ def best_split_kernel(cols, orders, rows, g, reg_lambda, reg_alpha, gamma):
     # hl and hr are whole numbers, so hl + hr is exactly total_h at every
     # candidate and the parent's denominator is one number. The candidate
     # after the i-th row of any column has hl = i rows on its left, so the
-    # sides' denominators are the same lists for every column.
+    # sides' denominators are the same for every column, and for every node
+    # with as many rows.
     parent_den = total_h + reg_lambda
-    den_l = []
-    den_r = []
-    hl = 1.0
-    while hl < total_h:
-        den_l.append(hl + reg_lambda)
-        den_r.append(total_h - hl + reg_lambda)
-        hl += 1.0
+    den_l, den_r = _side_denominators(total_h, reg_lambda)
 
     best_gain = -INF
     best_col = -1

@@ -8,6 +8,7 @@ reproduce. Exit codes: 0 success, 1 usage error, 2 data/model error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -83,7 +84,11 @@ def _add_common(sub, with_model=True):
     sub.add_argument("--out", default="out", help="output directory")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The `pervml` argument parser, built once per process: parsing leaves
+    it unchanged, and usage errors and --version write to the sys.stderr and
+    sys.stdout current at the call."""
     parser = _Parser(prog="pervml", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pervml {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)

@@ -32,11 +32,16 @@ gradients as numpy's pairwise sum would (`_pairwise_sum`). Sampled rows take
 their prediction update from the leaf they were partitioned into; only the
 rows that subsampling left out walk the new tree.
 
-A fit that draws no random numbers (subsample = colsample_bytree = 1) stops
-at its fixed point: once a tree leaves every training prediction unchanged
-bit for bit, the next gradients, and so every later tree, are the same, so
-`fit` appends copies of it and stops growing. The test is on the bits, not
-on ==, because adding a leaf of 0.0 turns a prediction of -0.0 into 0.0.
+While the training predictions keep their bits, so do the gradients, so a
+tree is a pure function of its round's draw of rows and columns. `fit`
+therefore keeps each tree that changed no prediction's bits under its
+draw, and a later round with the same draw appends a copy of it and grows
+nothing. A tree that changes any prediction empties the store, since the
+gradients have moved. A draw-free fit (subsample = colsample_bytree = 1)
+has one draw, so it stops growing at its first tree that changes no
+prediction; a fit that draws only columns stops once each of its few
+column subsets has grown such a tree. The test is on the bits, not on ==,
+because adding a leaf of 0.0 turns a prediction of -0.0 into 0.0.
 
 A fit's random draws read neither the data nor the gradients: round k's
 sampled rows and columns are the k-th draws of `default_rng(seed)`, so they
@@ -332,8 +337,10 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
     the shape and the rates (`_sample_schedule`), so equal params give
     equal trees on equal data.
 
-    Columns are sorted once per fit and a draw-free fit stops at its fixed
-    point (see the module docstring); neither changes a bit of the trees.
+    Columns are sorted once per fit, and a round whose draw already grew a
+    tree that changed no prediction's bits, with no prediction changed
+    since, appends a copy of that tree instead of growing it again (see the
+    module docstring); neither changes a bit of the trees.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -357,8 +364,7 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
     X_rows = X.tolist()
     y = y.tolist()
     preds = [params.base_score] * n
-    draws = params.subsample < 1.0 or params.colsample_bytree < 1.0
-    if draws:
+    if params.subsample < 1.0 or params.colsample_bytree < 1.0:
         schedule = _sample_schedule(
             params.seed, n, d, params.subsample, params.colsample_bytree,
             params.n_estimators,
@@ -366,7 +372,16 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
     else:
         schedule = [(range(n), (), None)] * params.n_estimators
     bits = struct.Struct(f"{n}d").pack
+    preds_bits = bits(*preds)
+    # (rows, columns) -> the tree that draw grew from the current gradients,
+    # if it left every prediction's bits unchanged; emptied when one changes.
+    fixed = {}
     for rows, left_out, columns in schedule:
+        draw = rows, columns
+        tree = fixed.get(draw)
+        if tree is not None:
+            ensemble.trees.append(_copy_tree(tree))
+            continue
         g = [p - t for p, t in zip(preds, y)]
         tree, leaves = build_tree(cols, orders, rows, g, params, columns)
         value = tree.value = [v * params.eta for v in tree.value]
@@ -379,11 +394,12 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
         if left_out:
             for r, v in zip(left_out, predict_tree(tree, [X_rows[r] for r in left_out])):
                 new[r] += v
-        if not draws and bits(*new) == bits(*preds):
-            copies = params.n_estimators - len(ensemble.trees)
-            ensemble.trees.extend(_copy_tree(tree) for _ in range(copies))
-            break
-        preds = new
+        new_bits = bits(*new)
+        if new_bits == preds_bits:
+            fixed[draw] = tree
+        else:
+            fixed.clear()
+            preds, preds_bits = new, new_bits
     return ensemble
 
 

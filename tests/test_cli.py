@@ -1,12 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import re
+import shutil
 import warnings
 from pathlib import Path
 
 import pytest
 
-from pervml import _kernels, cli
+from pervml import __version__, _kernels, cli
 from pervml.data import bundled_path
 from pervml.svr import SvrConvergenceWarning
 
@@ -57,6 +60,47 @@ class TestUsageErrors:
 
     def test_both_data_forms_rejected(self, capsys):
         assert run_cli("stats", bundled_path(), "--data", bundled_path()) == 2
+
+
+class TestParserBuiltOnce:
+    """`cli.run` builds its parser once per process; each run still gives
+    the exit code and output that a fresh parser gives."""
+
+    @staticmethod
+    def outcomes(argvs, out, fresh):
+        results = []
+        for argv in argvs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            # A new stream per run: a parser that kept the stream it was
+            # built with would write this run's usage to the last one's.
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = cli.run(argv)
+            files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+            shutil.rmtree(out, ignore_errors=True)
+            results.append((rc, stdout.getvalue(), stderr.getvalue(), files))
+        return results
+
+    def test_sequence_matches_fresh_parsers(self, tmp_path):
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[gbrt]\nn_estimators = 3, 6\nmax_depth = 2\n")
+        out = tmp_path / "out"
+        argvs = [
+            ["tune", "--grid", str(grid), "--out", str(out)],
+            ["train", "--target", "density", "--out", str(out)],
+            ["train", "--target", "bogus"],
+            ["--version"],
+        ]
+        fresh = self.outcomes(argvs, out, fresh=True)
+        cli.build_parser.cache_clear()
+        once = self.outcomes(argvs, out, fresh=False)
+        assert cli.build_parser.cache_info().misses == 1
+        assert once == fresh
+        assert [rc for rc, *_ in once] == [0, 0, 1, 0]
+        assert len(once[0][3]) == 3 and len(once[1][3]) == 1
+        assert once[2][1] == "" and once[2][2].startswith("usage: pervml train")
+        assert once[3][1:] == (f"pervml {__version__}\n", "", {})
 
 
 class TestTrain:

@@ -303,7 +303,8 @@ def split_problems(draw):
     X = np.array(draw(rows), dtype=float).reshape(n, d)
     g = np.array(draw(st.lists(gradients, min_size=n, max_size=n)), dtype=float)
     reg = (
-        draw(st.sampled_from([0.0, 0.5, 1.0])),  # reg_lambda
+        # reg_lambda; the kernel's cached denominators for 0.0 serve -0.0
+        draw(st.sampled_from([0.0, -0.0, 0.5, 1.0])),
         draw(st.sampled_from([0.0, 0.3])),  # reg_alpha
         draw(st.sampled_from([0.0, 0.1])),  # gamma
     )
@@ -609,23 +610,35 @@ tie_values = st.sampled_from([0.0, -0.0, 0.25, 1.0]) | st.floats(-4.0, 4.0)
 
 @st.composite
 def boosting_problems(draw):
+    # A third of the fits draw no random numbers and a third draw only
+    # columns, from d >= 2 of them; both kinds can reach predictions that
+    # stop changing and then reuse trees. Column-only fits run 20 rounds or
+    # more and favour reg_alpha 1.1, under which a leaf is 0 once its
+    # |G| <= 1.1, so that many of them get there.
+    draws = draw(st.sampled_from(["none", "columns", "rows and columns"]))
     n = draw(st.integers(1, 19))
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(2 if draws == "columns" else 1, 4))
     X = np.array(
         draw(st.lists(tie_values, min_size=n * d, max_size=n * d)), dtype=float
     ).reshape(n, d)
     y = np.array(draw(st.lists(tie_values, min_size=n, max_size=n)), dtype=float)
-    # Half the fits draw no random numbers, so they can reach a fixed point.
-    sampling = draw(st.booleans())
+    alphas, rounds = [0.0, 0.11, 1.1], st.integers(0, 40)
+    subsample = colsample = 1.0
+    if draws == "columns":
+        alphas, rounds = alphas + [1.1] * 3, st.integers(20, 40)
+        colsample = draw(st.sampled_from([0.5, 0.6]))
+    elif draws == "rows and columns":
+        subsample = draw(st.sampled_from([0.7, 1.0]))
+        colsample = draw(st.sampled_from([0.6, 1.0]))
     params = GbrtParams(
-        n_estimators=draw(st.integers(0, 40)),
+        n_estimators=draw(rounds),
         max_depth=draw(st.integers(0, 4)),
         eta=draw(st.sampled_from([0.3, 0.95, 1.0])),
         gamma=draw(st.sampled_from([0.0, 0.005])),
         reg_lambda=draw(st.sampled_from([0.0, 0.81, 1.65])),
-        reg_alpha=draw(st.sampled_from([0.0, 0.11, 1.1])),
-        subsample=draw(st.sampled_from([0.7, 1.0])) if sampling else 1.0,
-        colsample_bytree=draw(st.sampled_from([0.6, 1.0])) if sampling else 1.0,
+        reg_alpha=draw(st.sampled_from(alphas)),
+        subsample=subsample,
+        colsample_bytree=colsample,
         base_score=draw(st.sampled_from([0.5, 0.0, -0.0])),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
@@ -648,9 +661,9 @@ def assert_matches_reference(X, y, params, X_new):
 
 
 class TestMatchesPerNodeReference:
-    """Presorted growth, leaf updates from the partition and the fixed-point
-    stop give the trees and staged predictions of the per-node reference,
-    bit for bit."""
+    """Presorted growth, leaf updates from the partition and the reuse of
+    trees while the predictions keep their bits give the trees and staged
+    predictions of the per-node reference, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(boosting_problems())
@@ -682,6 +695,55 @@ class TestMatchesPerNodeReference:
         last = model.trees[grown_trees - 1]
         assert model.trees[grown_trees:] == [last] * (60 - grown_trees)
         assert all(t is not last and t.value is not last.value for t in model.trees[grown_trees:])
+        assert_matches_reference(X, y, params, X)
+
+    @staticmethod
+    def grown_columns(monkeypatch):
+        """The candidate columns of every tree `fit` grows, in order."""
+        grown = []
+
+        def recording_build_tree(cols, orders, rows, g, params, columns=None):
+            grown.append(columns)
+            return build_tree(cols, orders, rows, g, params, columns)
+
+        monkeypatch.setattr(gbrt, "build_tree", recording_build_tree)
+        return grown
+
+    def test_column_draws_reuse_their_trees(self, monkeypatch):
+        # Each round draws one of the 2 columns. Rounds 5 and 6 grow, from
+        # either column, a leaf of -0.0 that changes no prediction's bits, so
+        # the 34 later rounds reuse the tree their draw grew.
+        X = np.array([[0.0, 1.0], [0.25, 0.0], [0.5, 0.5], [1.0, 0.25], [-0.0, 1.0]])
+        y = np.array([0.1, 0.4, 0.2, 0.9, 0.0])
+        params = GbrtParams(
+            n_estimators=40, max_depth=2, eta=0.95, reg_alpha=0.11, gamma=0.005,
+            colsample_bytree=0.5, seed=0,
+        )
+        grown = self.grown_columns(monkeypatch)
+        model = gbrt.fit(X, y, params)
+        assert grown == [(1,), (1,), (1,), (0,), (0,), (1,)]
+        reused = model.trees[len(grown):]
+        assert [tree_bits(tree) for tree in reused] == [tree_bits(leaf_tree(-0.0))] * 34
+        assert len({id(tree) for tree in model.trees}) == 40
+        assert len({id(tree.value) for tree in model.trees}) == 40
+        assert_matches_reference(X, y, params, X)
+
+    def test_a_changed_prediction_drops_the_reusable_trees(self, monkeypatch):
+        # Round 1 draws column 0, which is constant: a leaf of -0.0 that
+        # changes no prediction. Round 2 draws column 1 and its split moves
+        # every prediction, so the gradients' sum is no longer 0 and round
+        # 3, drawing column 0 again, grows a leaf of another value.
+        X = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        y = np.array([1.0, 1.0, 1.0, -1.5, -1.5])
+        params = GbrtParams(
+            n_estimators=3, max_depth=1, eta=1.0, reg_alpha=0.11,
+            colsample_bytree=0.5, base_score=0.0, seed=21,
+        )
+        grown = self.grown_columns(monkeypatch)
+        model = gbrt.fit(X, y, params)
+        assert grown == [(0,), (1,), (0,)]
+        first, _, third = model.trees
+        assert tree_bits(first) == tree_bits(leaf_tree(-0.0)) and third.value[0] != 0.0
         assert_matches_reference(X, y, params, X)
 
     def test_positive_zero_leaf_on_negative_zero_prediction_is_not_a_fixed_point(self):
