@@ -13,7 +13,8 @@ iterations walks the coefficients once: that pass both adds the last step
 to v = K @ beta and selects the next pair. SMO keeps each coefficient's
 set membership as two offsets beside beta, reset only for the two
 coefficients a step moves, so that pass adds an offset to e instead of
-branching on beta.
+branching on beta. The pass zips its index with its lists, unpacking one
+flat tuple, and stores e + offset only when it beats the best so far.
 Python floats are IEEE doubles like float64, so these loops return, bit for
 bit, what the same loops return on numpy scalars; the tests keep those as
 oracles. These loops are the only implementation.
@@ -118,8 +119,8 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     maximizes the dual exactly along the feasible direction (the objective
     is piecewise quadratic with kinks where a coefficient crosses zero).
     K and y are float64 arrays; C, eps and tol are floats, C > 0 (SvrParams
-    checks it). K must be finite (svr.fit raises otherwise); an inf or nan
-    entry leaves the dual undefined.
+    checks it). K and y must be finite, which svr.fit guarantees by raising
+    otherwise; an inf or nan entry leaves the dual undefined.
 
     Each iteration walks the coefficients once. That pass adds the last
     step to v = K @ beta, as `v[t] + (K[t, i]*d_i + K[t, j]*d_j)`, and picks
@@ -128,7 +129,8 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     +0.0 and an empty problem reads no column.
 
     The pass does not branch on beta: it reads each coefficient's offsets
-    up[t] and low[t] and tests s = e + up[t] and s = e + low[t]. up[t] is
+    up[t] and low[t] and tests s = e + up[t] and s = e + low[t], computing
+    s again, to the same bits, only when it becomes the best so far. up[t] is
     -eps for 0 <= beta[t] < C, +eps for beta[t] < 0 and -inf for
     beta[t] >= C; low[t] is -eps for beta[t] > 0, +eps for
     -C < beta[t] <= 0 and +inf for beta[t] <= -C. After a step only
@@ -150,6 +152,7 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     beta = [0.0] * n
     v = [0.0] * n  # K @ beta, maintained incrementally
     neg_C = -C
+    two_eps = 2.0 * eps
     # beta = 0 is strictly inside the box, so it starts in both sets.
     up = [-eps] * n
     low = [eps] * n
@@ -162,16 +165,14 @@ def smo_solve(K, y, C, eps, tol, max_iter):
         up_best = -INF
         j = -1
         low_best = INF
-        for t, (yt, vt, ut, lt, a, b) in enumerate(zip(y, v, up, low, col_i, col_j)):
+        for t, yt, vt, ut, lt, a, b in zip(range(n), y, v, up, low, col_i, col_j):
             v[t] = vt = vt + (a * d_i + b * d_j)
             e = yt - vt
-            s = e + ut
-            if s > up_best:
-                up_best = s
+            if e + ut > up_best:
+                up_best = e + ut
                 i = t
-            s = e + lt
-            if s < low_best:
-                low_best = s
+            if e + lt < low_best:
+                low_best = e + lt
                 j = t
         if i < 0 or j < 0 or up_best - low_best <= tol:
             return np.array(beta, dtype=float), up_best, low_best, it, True
@@ -203,15 +204,17 @@ def smo_solve(K, y, C, eps, tol, max_iter):
                 seg_end = s_box
             seg_len = seg_end - s_prev
             if seg_len > 0.0:
-                if rho > 0.0 and deriv / rho <= seg_len:
-                    s_opt = s_prev + deriv / rho
-                    break
+                if rho > 0.0:
+                    q = deriv / rho
+                    if q <= seg_len:
+                        s_opt = s_prev + q
+                        break
                 deriv -= rho * seg_len
                 s_prev = seg_end
             if seg_end == s_box:
                 s_opt = s_box
                 break
-            deriv -= 2.0 * eps
+            deriv -= two_eps
             if deriv <= 0.0:
                 s_opt = seg_end
                 break

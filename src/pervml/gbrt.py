@@ -350,6 +350,8 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
         raise ValueError(f"shape mismatch: X {X.shape} vs y {y.shape}")
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
+    if not np.isfinite(y).all():
+        raise ValueError("target must be finite")
     n, d = X.shape
     if feature_names is None:
         feature_names = tuple(f"f{j}" for j in range(d))

@@ -117,7 +117,8 @@ def fit(X, y, params: SvrParams, feature_names=None) -> SvrModel:
 
     If the iteration cap is hit first, the best-effort model is returned
     with converged=False and an SvrConvergenceWarning carrying the residual.
-    A kernel matrix that overflows to inf or NaN raises ValueError.
+    A non-finite target, or a kernel matrix that overflows to inf or NaN,
+    raises ValueError.
     feature_names is accepted so that every family fits through the same
     call; an SVR model keeps no names.
     """
@@ -127,6 +128,8 @@ def fit(X, y, params: SvrParams, feature_names=None) -> SvrModel:
         raise ValueError("need at least one sample")
     if y.shape != (X.shape[0],):
         raise ValueError(f"shape mismatch: X {X.shape} vs y {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("target must be finite")
 
     with np.errstate(over="ignore", invalid="ignore"):
         K = gram_matrix(params, X, X)
@@ -163,43 +166,6 @@ def fit(X, y, params: SvrParams, feature_names=None) -> SvrModel:
         converged=bool(converged),
         n_iter=int(n_iter),
     )
-
-
-def kkt_violation(model: SvrModel, X, y) -> float:
-    """Largest violation of the epsilon-optimality conditions on (X, y).
-
-    Training rows are matched to support vectors by value to recover their
-    coefficients (rows absent from the model have coefficient zero). The
-    sum-to-zero equality residual is included in the maximum.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    coef_by_row: dict[bytes, list[float]] = {}
-    for sv, coef in zip(model.support_vectors, model.dual_coefs):
-        coef_by_row.setdefault(np.ascontiguousarray(sv).tobytes(), []).append(coef)
-    beta = np.zeros(X.shape[0])
-    for i in range(X.shape[0]):
-        stack = coef_by_row.get(np.ascontiguousarray(X[i]).tobytes())
-        if stack:
-            beta[i] = stack.pop(0)
-
-    residual = model.predict(X) - y
-    C, eps = model.params.C, model.params.epsilon
-    worst = abs(float(beta.sum()))
-    for i in range(X.shape[0]):
-        b, r = beta[i], residual[i]
-        if b == 0.0:
-            viol = max(0.0, abs(r) - eps)
-        elif b >= C:
-            viol = max(0.0, r + eps)
-        elif b > 0.0:
-            viol = abs(r + eps)
-        elif b <= -C:
-            viol = max(0.0, eps - r)
-        else:
-            viol = abs(r - eps)
-        worst = max(worst, viol)
-    return worst
 
 
 # The model file's "kernel" section: each SvrParams field under its key, kind first.

@@ -23,12 +23,13 @@ from pervml.data import (
 from pervml.gbrt import GbrtParams, build_tree, presort
 from pervml.metrics import mae, mape, r_squared, rmse
 from pervml.pipeline import load_reference
-from pervml.svr import SvrParams, kkt_violation
+from pervml.svr import SvrParams
 from pervml.tuning import HyperGrid, grid_search, refit_best, target_slice
 
 from test_data import SUMMARY_TABLE
 from test_gbrt import enumerate_best_split, random_split_case, stump_params
 from test_metrics import oracle_mae, oracle_mape, oracle_r2, oracle_rmse
+from test_svr import kkt_violation
 
 TARGETS = ("density", "compressive", "tensile", "porosity")
 

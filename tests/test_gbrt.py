@@ -446,6 +446,12 @@ class TestFit:
         with pytest.raises(ValueError, match="mismatch"):
             gbrt.fit(rng.uniform(size=(4, 2)), rng.uniform(size=5), stump_params())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        # A NaN target used to give a model whose every prediction is NaN.
+        with pytest.raises(ValueError, match="target must be finite"):
+            gbrt.fit([[0.0], [1.0], [2.0]], [0.0, bad, 1.0], stump_params(n_estimators=3))
+
     def test_subsample_rows_still_updated(self, rng):
         # With row subsampling, every row must keep receiving updates.
         X = rng.uniform(size=(10, 2))

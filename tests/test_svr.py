@@ -16,7 +16,6 @@ from pervml.svr import (
     SvrModel,
     SvrParams,
     gram_matrix,
-    kkt_violation,
 )
 from pervml.tuning import kfold_indices, target_slice
 
@@ -38,6 +37,44 @@ def kernel_eval(params: SvrParams, x1, x2) -> float:
 def kernel_value(params: SvrParams, x1, x2) -> float:
     """One entry of gram_matrix on one-row inputs."""
     return float(gram_matrix(params, [x1], [x2])[0, 0])
+
+
+def kkt_violation(model: SvrModel, X, y) -> float:
+    """KKT oracle: the largest violation of the epsilon-optimality
+    conditions on (X, y).
+
+    Training rows are matched to support vectors by value to recover their
+    coefficients (rows absent from the model have coefficient zero). The
+    sum-to-zero equality residual is included in the maximum.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    coef_by_row: dict[bytes, list[float]] = {}
+    for sv, coef in zip(model.support_vectors, model.dual_coefs):
+        coef_by_row.setdefault(np.ascontiguousarray(sv).tobytes(), []).append(coef)
+    beta = np.zeros(X.shape[0])
+    for i in range(X.shape[0]):
+        stack = coef_by_row.get(np.ascontiguousarray(X[i]).tobytes())
+        if stack:
+            beta[i] = stack.pop(0)
+
+    residual = model.predict(X) - y
+    C, eps = model.params.C, model.params.epsilon
+    worst = abs(float(beta.sum()))
+    for i in range(X.shape[0]):
+        b, r = beta[i], residual[i]
+        if b == 0.0:
+            viol = max(0.0, abs(r) - eps)
+        elif b >= C:
+            viol = max(0.0, r + eps)
+        elif b > 0.0:
+            viol = abs(r + eps)
+        elif b <= -C:
+            viol = max(0.0, eps - r)
+        else:
+            viol = abs(r - eps)
+        worst = max(worst, viol)
+    return worst
 
 
 class TestKernels:
@@ -133,6 +170,12 @@ class TestFitBasics:
             svr.fit(rng.uniform(size=(3, 2)), rng.uniform(size=4), SvrParams())
         with pytest.raises(ValueError, match="at least one"):
             svr.fit(np.empty((0, 2)), np.empty(0), SvrParams())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        # NaN fails every SMO comparison, so its row used to be silently ignored.
+        with pytest.raises(ValueError, match="target must be finite"):
+            svr.fit([[0.0], [1.0], [2.0]], [0.0, bad, 1.0], SvrParams())
 
 
 def smo_oracle(K, y, C, eps, tol, max_iter):
@@ -306,6 +349,21 @@ class TestSmoMatchesOracle:
         # to exactly 0.0; the cap then reports its s = e - eps as max_up
         (np.array([[6.0, 2.0, -2.0], [2.0, 3.0, -1.0], [-2.0, -1.0, 3.0]]),
          np.array([0.25, 0.25, -1.0]), 1.0, 0.25, 1e-3, 2)
+    )
+    @example(  # duplicate rows: rho is 0.0, so the step skips the quadratic
+        # optimum and runs to the box
+        (np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, -1.0]), 1.0, 0.0, 1e-3, 100)
+    )
+    @example(  # a K that is not PSD: rho < 0, so the dual has no maximum
+        # inside the segment and the step runs to the box
+        (np.array([[0.1, 0.9], [0.9, 0.1]]), np.array([1.0, -1.0]), 1.0, 0.0, 1e-3, 100)
+    )
+    @example(  # the second step's q = deriv / rho equals, to the bit, the
+        # length to the kink where coefficient 0 returns to 0.0: the step
+        # stops there; carrying the rounding residue of deriv - rho * q past
+        # the kink would leave coefficient 0 at -5.6e-17
+        (np.array([[1.0, 0.0, 0.52], [0.0, 1.0, 0.57], [0.52, 0.57, 1.0]]),
+         np.array([0.22, -0.3, 0.19660000000000002]), 10.0, 0.0, 1e-3, 2)
     )
     @example(compressive_fold_problem())
     def test_bit_identical(self, problem):
