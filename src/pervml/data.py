@@ -120,9 +120,12 @@ def load_csv(path) -> Dataset:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty dataset") from None
+            table = list(reader)
+        except csv.Error as exc:  # say a cell over csv's field size limit
+            raise DatasetError(f"{path}: row {reader.line_num}: {exc}") from None
+        if not table:
+            raise DatasetError(f"{path}: empty dataset")
+        header = table[0]
         if tuple(h.strip() for h in header) != CSV_HEADER:
             missing = set(CSV_HEADER) - {h.strip() for h in header}
             if missing:
@@ -135,7 +138,7 @@ def load_csv(path) -> Dataset:
             )
         records = []
         seen_rows: dict[str, int] = {}
-        for row_num, row in enumerate(reader, start=2):
+        for row_num, row in enumerate(table[1:], start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(CSV_HEADER):

@@ -9,15 +9,18 @@ gain (which already subtracts the per-leaf penalty gamma) is positive.
 Squared-error loss throughout: gradient y_hat - y and hessian 1, so a
 node's hessian sum H is its row count and no hessian array is kept.
 
-Each tree is one node table (`Tree`): parallel lists `feature`, `threshold`,
-`gain`, `cover` (row count), `value`, `left` and `right`, numbered in
+Each tree is one node table (`Tree`): six parallel lists `feature`,
+`threshold`, `gain`, `cover` (row count), `value` and `right`, numbered in
 depth-first pre-order with the left child first. The root is node 0, an
-internal node's left child is the next node and its right child follows the
-left subtree, so every child's number is greater than its parent's. A leaf
-has feature -1, its value, and children -1; an internal node has value 0.
+internal node's left child is node + 1 (so no list stores it) and its right
+child follows the left subtree, so every child's number is greater than its
+parent's. A leaf has feature -1 and right -1; an internal node has value 0.
 Pre-order lets growth, prediction, importance and the nested model JSON each
 work from one loop or one explicit stack, visiting nodes in the order a
 recursive walk would, so sums over nodes keep their order.
+
+`fit` and `predict` check X and y with `modelio.check_inputs`, the one input
+rule of both model families.
 
 A fit's features never change, so `fit` sorts each column once with a
 stable sort (`presort`): XGBoost's pre-sorted column block (Chen & Guestrin,
@@ -63,7 +66,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .modelio import ModelIOError, check_fields, read_model, typed, write_model
+from .modelio import ModelIOError, check_fields, check_inputs, read_model, typed, write_model
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,6 @@ class Tree:
     gain: list[float] = field(default_factory=list)
     cover: list[float] = field(default_factory=list)
     value: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
     right: list[int] = field(default_factory=list)
 
 
@@ -125,7 +127,6 @@ def _add_node(
     tree.gain.append(gain)
     tree.cover.append(cover)
     tree.value.append(value)
-    tree.left.append(node + 1 if feature >= 0 else -1)
     tree.right.append(-1)
     return node
 
@@ -160,11 +161,7 @@ class TreeEnsemble:
         n_estimators = k, so stage k is that smaller model's prediction,
         bit for bit; `predict` is the last stage.
         """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected {self.n_features} feature column(s), got shape {X.shape}"
-            )
+        X, _ = check_inputs(X, None, self.n_features)
         rows = X.tolist()
         out = np.full(X.shape[0], self.base_score, dtype=float)
         yield out
@@ -285,13 +282,12 @@ def build_tree(cols, orders, rows, g, params: GbrtParams, columns=None):
 
 def predict_tree(tree: Tree, rows) -> list[float]:
     """Each row's leaf value; rows are sequences of feature values (lists)."""
-    feature, threshold = tree.feature, tree.threshold
-    left, right, value = tree.left, tree.right, tree.value
+    feature, threshold, right, value = tree.feature, tree.threshold, tree.right, tree.value
     out = []
     for row in rows:
         node = 0
         while feature[node] >= 0:
-            node = left[node] if row[feature[node]] <= threshold[node] else right[node]
+            node = node + 1 if row[feature[node]] <= threshold[node] else right[node]
         out.append(value[node])
     return out
 
@@ -304,13 +300,13 @@ def _copy_tree(tree: Tree) -> Tree:
 def _sample_schedule(seed, n, d, subsample, colsample_bytree, rounds):
     """Every round's (sampled rows, left-out rows, candidate columns).
 
-    One `default_rng(seed)` makes, each round, ceil(subsample * n) row draws
-    without replacement when subsample < 1, then ceil(colsample_bytree * d)
-    column draws when colsample_bytree < 1. Rows and columns are sorted
-    ascending. Everything is a tuple, so the schedule a fit gets from the
-    cache is safe to share with every other fit of the same key.
+    One `default_rng(seed)`, made only when a rate is below 1, draws each
+    round ceil(subsample * n) rows without replacement when subsample < 1,
+    then ceil(colsample_bytree * d) columns when colsample_bytree < 1. Rows
+    and columns are sorted ascending. Everything is a tuple, so the schedule
+    a fit gets from the cache is safe to share with every fit of the same key.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if min(subsample, colsample_bytree) < 1.0 else None
     all_rows, all_cols = tuple(range(n)), tuple(range(d))
     n_rows = math.ceil(subsample * n)
     n_cols = math.ceil(colsample_bytree * d)
@@ -330,28 +326,17 @@ def _sample_schedule(seed, n, d, subsample, colsample_bytree, rounds):
 def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
     """Additive training: each round fits a tree to the current gradients.
 
-    Row subsampling draws ceil(subsample * n) rows without replacement per
-    tree, and column subsampling ceil(colsample_bytree * d) columns;
-    out-of-sample rows still receive the prediction update so the next
-    round's gradients are consistent. The draws depend only on the seed,
-    the shape and the rates (`_sample_schedule`), so equal params give
-    equal trees on equal data.
+    Each round's rows and columns come from `_sample_schedule`, so equal
+    params give equal trees on equal data; the rows a round leaves out still
+    receive its prediction update, so the next round's gradients are
+    consistent.
 
     Columns are sorted once per fit, and a round whose draw already grew a
     tree that changed no prediction's bits, with no prediction changed
     since, appends a copy of that tree instead of growing it again (see the
     module docstring); neither changes a bit of the trees.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("need at least one sample")
-    if y.shape != (X.shape[0],):
-        raise ValueError(f"shape mismatch: X {X.shape} vs y {y.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("features must be finite")
-    if not np.isfinite(y).all():
-        raise ValueError("target must be finite")
+    X, y = check_inputs(X, y, None)
     n, d = X.shape
     if feature_names is None:
         feature_names = tuple(f"f{j}" for j in range(d))
@@ -366,13 +351,9 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
     X_rows = X.tolist()
     y = y.tolist()
     preds = [params.base_score] * n
-    if params.subsample < 1.0 or params.colsample_bytree < 1.0:
-        schedule = _sample_schedule(
-            params.seed, n, d, params.subsample, params.colsample_bytree,
-            params.n_estimators,
-        )
-    else:
-        schedule = [(range(n), (), None)] * params.n_estimators
+    schedule = _sample_schedule(
+        params.seed, n, d, params.subsample, params.colsample_bytree, params.n_estimators
+    )
     bits = struct.Struct(f"{n}d").pack
     preds_bits = bits(*preds)
     # (rows, columns) -> the tree that draw grew from the current gradients,
@@ -417,7 +398,7 @@ def _tree_to_dict(tree: Tree) -> dict:
                 "threshold": tree.threshold[i],
                 "gain": tree.gain[i],
                 "cover": tree.cover[i],
-                "left": nodes[tree.left[i]],
+                "left": nodes[i + 1],
                 "right": nodes[tree.right[i]],
             }
     return nodes[0]

@@ -1,7 +1,7 @@
-"""Model files (JSON text, exact float round-trip) and typed file fields:
-each parameter's type is declared once, on its params class, and read by
-`field_types`; `typed` checks every model-file value and `check_fields`
-every params object."""
+"""Model files (JSON text, exact float round-trip), typed file fields and
+model inputs: each parameter's type is declared once, on its params class,
+and read by `field_types`; `typed` checks every model-file value,
+`check_fields` every params object and `check_inputs` every model's X and y."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ import math
 import sys
 import types
 import typing
+
+import numpy as np
 
 FORMAT_VERSION = 1
 
@@ -91,6 +93,27 @@ def check_fields(params):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def check_inputs(X, y, n_features):
+    """X and y as float arrays, checked alike for every model family. X is 2-D
+    and finite; at fit time (n_features None) it has rows and y has one finite
+    value per row, at predict time (y None) it has n_features columns."""
+    X = np.asarray(X, dtype=float)
+    if y is None:
+        if X.ndim != 2 or X.shape[1] != n_features:
+            raise ValueError(f"expected {n_features} feature column(s), got shape {X.shape}")
+    else:
+        y = np.asarray(y, dtype=float)
+        if X.ndim != 2 or X.shape[0] == 0:
+            raise ValueError("need at least one sample")
+        if y.shape != (X.shape[0],):
+            raise ValueError(f"shape mismatch: X {X.shape} vs y {y.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
+    if y is not None and not np.isfinite(y).all():
+        raise ValueError("target must be finite")
+    return X, y
 
 
 def read_model(path, expected_type: str, build):

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .modelio import ModelIOError, check_fields, field_types, read_model, typed, write_model
+from .modelio import ModelIOError, check_fields, check_inputs, field_types, read_model
+from .modelio import typed, write_model
 
 # The kernels, each with the SvrParams fields its formula reads.
 KERNEL_FIELDS = {
@@ -70,8 +71,6 @@ def gram_matrix(params: SvrParams, X1, X2) -> np.ndarray:
     """Kernel matrix K[i, j] = k(X1[i], X2[j])."""
     X1 = np.asarray(X1, dtype=float)
     X2 = np.asarray(X2, dtype=float)
-    if X1.shape[1] != X2.shape[1]:
-        raise ValueError(f"dimension mismatch: {X1.shape} vs {X2.shape}")
     if params.kernel == "linear":
         return X1 @ X2.T
     if params.kernel == "polynomial":
@@ -92,20 +91,19 @@ class SvrModel:
     dual_coefs: np.ndarray  # (m,) signed, each in [-C, C] \ {0}
     bias: float
     params: SvrParams
-    n_features: int
     converged: bool = True
     n_iter: int = 0
+
+    @property
+    def n_features(self) -> int:
+        return self.support_vectors.shape[1]
 
     def staged_predict(self, X) -> list[np.ndarray]:
         """The one stage an SVR has: `predict`."""
         return [self.predict(X)]
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected {self.n_features} feature column(s), got shape {X.shape}"
-            )
+        X, _ = check_inputs(X, None, self.n_features)
         if self.dual_coefs.size == 0:
             return np.full(X.shape[0], self.bias, dtype=float)
         K = gram_matrix(self.params, X, self.support_vectors)
@@ -117,20 +115,12 @@ def fit(X, y, params: SvrParams, feature_names=None) -> SvrModel:
 
     If the iteration cap is hit first, the best-effort model is returned
     with converged=False and an SvrConvergenceWarning carrying the residual.
-    A non-finite target, or a kernel matrix that overflows to inf or NaN,
-    raises ValueError.
+    Inputs that `modelio.check_inputs` rejects, or a kernel matrix that
+    overflows to inf or NaN, raise ValueError.
     feature_names is accepted so that every family fits through the same
     call; an SVR model keeps no names.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("need at least one sample")
-    if y.shape != (X.shape[0],):
-        raise ValueError(f"shape mismatch: X {X.shape} vs y {y.shape}")
-    if not np.isfinite(y).all():
-        raise ValueError("target must be finite")
-
+    X, y = check_inputs(X, y, None)
     with np.errstate(over="ignore", invalid="ignore"):
         K = gram_matrix(params, X, X)
     if not np.isfinite(K).all():
@@ -162,7 +152,6 @@ def fit(X, y, params: SvrParams, feature_names=None) -> SvrModel:
         dual_coefs=beta[keep].copy(),
         bias=float(bias),
         params=params,
-        n_features=X.shape[1],
         converged=bool(converged),
         n_iter=int(n_iter),
     )
@@ -194,6 +183,8 @@ def _model_from_dict(payload: dict) -> SvrModel:
     )
     n_features = typed(payload["n_features"], int, "n_features")
     rows = [typed(row, list[float], "support vector") for row in payload["support_vectors"]]
+    if any(len(row) != n_features for row in rows):
+        raise ModelIOError(f"support vectors must hold n_features = {n_features} value(s) each")
     sv = np.array(rows, dtype=float).reshape(-1, n_features)
     dual_coefs = np.array(typed(payload["dual_coefs"], list[float], "dual_coefs"), dtype=float)
     if dual_coefs.shape != (len(sv),):
@@ -204,7 +195,6 @@ def _model_from_dict(payload: dict) -> SvrModel:
         dual_coefs=dual_coefs,
         bias=typed(payload["bias"], float, "bias"),
         params=params,
-        n_features=n_features,
         converged=typed(solver.get("converged", True), bool, "converged"),
         n_iter=typed(solver.get("n_iter", 0), int, "n_iter"),
     )

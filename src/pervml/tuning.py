@@ -265,7 +265,7 @@ def read_params_file(path, family: str) -> dict:
     Each value is parsed as the type `family`'s params class declares.
     """
     combo = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_num, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -285,11 +285,13 @@ def read_params_file(path, family: str) -> dict:
 
 def read_grid_file(path) -> dict[str, HyperGrid]:
     """Parse a grid config: one section per family, key = comma-separated values."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep axis names case-sensitive (C vs c)
-    read = parser.read(path)
-    if not read:
-        raise OSError(f"cannot read grid file {path}")
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            parser.read_file(fh)
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     grids = {}
     for family in parser.sections():
         if family not in FAMILIES:

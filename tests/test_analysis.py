@@ -88,7 +88,6 @@ def stump_ensemble() -> TreeEnsemble:
         gain=[0.25, 0.0, 0.0],
         cover=[2.0, 0.0, 0.0],
         value=[0.0, -0.5, 0.5],
-        left=[1, -1, -1],
         right=[2, -1, -1],
     )
     return TreeEnsemble(

@@ -25,6 +25,15 @@ def first_leaf(node):
     return node
 
 
+def halve_support_vectors(payload):
+    """Three 4-value support vectors rewritten as six 2-value rows, beside
+    their three dual coefficients: the same numbers in rows of the wrong
+    length."""
+    flat = [x for row in payload["support_vectors"][:3] for x in row]
+    payload["support_vectors"] = [flat[i : i + 2] for i in range(0, 12, 2)]
+    payload["dual_coefs"] = payload["dual_coefs"][:3]
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -46,6 +55,16 @@ class TestStats:
     def test_missing_file_exits_2(self, capsys):
         assert run_cli("stats", "no_such_file.csv") == 2
         assert "no_such_file.csv" in capsys.readouterr().err
+
+    def test_csv_error_exits_2(self, tmp_path, capsys):
+        lines = Path(bundled_path()).read_text().splitlines()
+        lines[3] = "x" * 131_073 + lines[3]  # over csv's field size limit
+        table = tmp_path / "big.csv"
+        table.write_text("\n".join(lines) + "\n")
+        assert run_cli("stats", str(table)) == 2
+        err = capsys.readouterr().err
+        assert f"{table}: row 4: field larger than field limit" in err
+        assert "Traceback" not in err
 
 
 class TestUsageErrors:
@@ -205,6 +224,48 @@ class TestSettingsFiles:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[svr]\nC = 1\nC = 10\n", "option 'C' in section 'svr' already exists"),
+            ("[svr]\nC = 1\n[svr]\nepsilon = 0.1\n", "section 'svr' already exists"),
+            ("C = 1, 10\n", "no section headers"),
+            ("[svr]\nC = 1%\n", "axis 'C'"),
+        ],
+        ids=["duplicate-axis", "duplicate-section", "no-section-header", "percent"],
+    )
+    def test_malformed_grid_file_exits_2(self, tmp_path, capsys, text, message):
+        grid = tmp_path / "grid.ini"
+        grid.write_text(text)
+        rc = run_cli("tune", "--model", "svr", "--grid", str(grid), "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{grid}: " in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flag, text, output",
+        [
+            ("tune", "--grid", "[gbrt]\nn_estimators = 3, 6\nmax_depth = 2\n",
+             "cv_results_gbrt_compressive.csv"),
+            ("train", "--params", "n_estimators = 4\nmax_depth = 2\n",
+             "model_gbrt_compressive.json"),
+        ],
+        ids=["grid", "params"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, command, flag, text, output):
+        """A settings file saved with a UTF-8 byte-order mark gives the same
+        output as one without."""
+        outputs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            out = tmp_path / encoding
+            out.mkdir()
+            settings = out / "settings.txt"
+            settings.write_text(text, encoding=encoding)
+            assert run_cli(command, flag, str(settings), "--out", str(out)) == 0
+            outputs.append((out / output).read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
         "family, setting",
         [("svr", "C = nan"), ("svr", "epsilon = inf"), ("gbrt", "reg_lambda = nan"),
          ("gbrt", "eta = -inf")],
@@ -321,17 +382,19 @@ class TestEvaluate:
             ),
             ("svr", lambda p: p["solver"].update(converged="no"), "must be true or false"),
             ("svr", lambda p: p.update(solver=[]), "must be an object"),
+            ("svr", halve_support_vectors, "n_features = 4 value(s) each"),
         ],
         ids=[
             "feature", "feature_names", "degree", "max_passes", "n_features",
-            "weight", "bias", "dual_coefs", "converged", "solver",
+            "weight", "bias", "dual_coefs", "converged", "solver", "support_vector_length",
         ],
     )
     def test_mistyped_model_field_exits_2(self, tmp_path, capsys, family, edit, message):
         """A model file whose integer field holds a fraction or a bool, whose
         float field holds a bool or a string, whose `converged` is not a JSON
-        bool, whose `solver` is not an object, or whose feature names are not
-        a list of strings, exits 2 without a traceback."""
+        bool, whose `solver` is not an object, whose feature names are not a
+        list of strings, or whose support vectors are not `n_features` long,
+        exits 2 without a traceback."""
         common = ("--model", family, "--target", "compressive")
         out = tmp_path / "out"
         assert run_cli("train", *common, "--out", str(out)) == 0

@@ -62,7 +62,6 @@ def leaf_tree(value: float) -> Tree:
         gain=[0.0],
         cover=[0.0],
         value=[value],
-        left=[-1],
         right=[-1],
     )
 
@@ -72,7 +71,7 @@ def node_depths(tree: Tree) -> list[int]:
     depth = [0] * len(tree.feature)
     for i, feature in enumerate(tree.feature):
         if feature >= 0:
-            depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+            depth[i + 1] = depth[tree.right[i]] = depth[i] + 1
     return depth
 
 
@@ -142,7 +141,7 @@ class TestBuildTree:
         assert tree.threshold[0] == 0.5
         assert tree.gain[0] == pytest.approx(0.25)
         assert tree.cover[0] == 2.0
-        assert (tree.left[0], tree.right[0]) == (1, 2)
+        assert tree.right == [2, -1, -1]
         assert tree.value == [0.0, -0.5, 0.5]
 
     def test_gamma_suppresses_split(self):
@@ -350,7 +349,7 @@ def node_reach(tree: Tree, X) -> list[int]:
         reached[node] += 1
         while tree.feature[node] >= 0:
             f, t = tree.feature[node], tree.threshold[node]
-            node = tree.left[node] if row[f] <= t else tree.right[node]
+            node = node + 1 if row[f] <= t else tree.right[node]
             reached[node] += 1
     return reached
 
@@ -452,6 +451,11 @@ class TestFit:
         with pytest.raises(ValueError, match="target must be finite"):
             gbrt.fit([[0.0], [1.0], [2.0]], [0.0, bad, 1.0], stump_params(n_estimators=3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        with pytest.raises(ValueError, match="features must be finite"):
+            gbrt.fit([[0.0], [bad], [2.0]], [0.0, 1.0, 1.0], stump_params(n_estimators=3))
+
     def test_subsample_rows_still_updated(self, rng):
         # With row subsampling, every row must keep receiving updates.
         X = rng.uniform(size=(10, 2))
@@ -530,7 +534,7 @@ class TestCoverIsRowCount:
                 while tree.feature[node] >= 0:
                     reached[node] += 1
                     f, t = tree.feature[node], tree.threshold[node]
-                    node = tree.left[node] if row[f] <= t else tree.right[node]
+                    node = node + 1 if row[f] <= t else tree.right[node]
             internal = [i for i, f in enumerate(tree.feature) if f >= 0]
             assert [tree.cover[i] for i in internal] == [float(reached[i]) for i in internal]
 
@@ -575,7 +579,7 @@ def reference_predict_tree(tree: Tree, X) -> np.ndarray:
         node = 0
         while tree.feature[node] >= 0:
             f = tree.feature[node]
-            node = tree.left[node] if row[f] <= tree.threshold[node] else tree.right[node]
+            node = node + 1 if row[f] <= tree.threshold[node] else tree.right[node]
         out.append(tree.value[node])
     return np.array(out, dtype=float)
 
@@ -785,17 +789,19 @@ class TestSampleSchedule:
         cold = gbrt.fit(X, y, params)
         warm = gbrt.fit(X, y, params)
         assert [tree_bits(t) for t in warm.trees] == [tree_bits(t) for t in cold.trees]
-        draws = subsample < 1.0 or colsample < 1.0
-        assert gbrt._sample_schedule.cache_info().hits == int(draws)
+        assert gbrt._sample_schedule.cache_info().hits == 1
 
-    def test_draw_free_fit_makes_no_rng_and_skips_the_cache(self, monkeypatch, rng):
+    @pytest.mark.parametrize("seed", [42, -1])  # default_rng refuses -1
+    def test_draw_free_fit_makes_no_rng(self, monkeypatch, rng, seed):
         def no_rng(*args, **kwargs):
             raise AssertionError("a draw-free fit made an rng")
 
-        before = gbrt._sample_schedule.cache_info()
+        gbrt._sample_schedule.cache_clear()
         monkeypatch.setattr(np.random, "default_rng", no_rng)
-        gbrt.fit(rng.uniform(size=(8, 3)), rng.uniform(size=8), GbrtParams(n_estimators=5))
-        assert gbrt._sample_schedule.cache_info() == before
+        X, y = rng.uniform(size=(8, 3)), rng.uniform(size=8)
+        gbrt.fit(X, y, GbrtParams(n_estimators=5, seed=seed))
+        every_draw = (tuple(range(8)), (), (0, 1, 2))
+        assert gbrt._sample_schedule(seed, 8, 3, 1.0, 1.0, 5) == (every_draw,) * 5
 
     def test_fits_on_different_data_share_one_schedule(self, rng):
         params = GbrtParams(n_estimators=5, subsample=0.7, colsample_bytree=0.7, seed=3)
@@ -856,6 +862,13 @@ class TestPredict:
         with pytest.raises(ValueError, match="feature column"):
             model.predict(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        # NaN fails every <= test, so it would silently take every right branch.
+        model = gbrt.fit(STUMP_X, STUMP_Y, stump_params())
+        with pytest.raises(ValueError, match="features must be finite"):
+            model.predict([[0.0], [bad]])
+
 
 class TestTreeTable:
     @pytest.fixture(scope="class")
@@ -869,16 +882,16 @@ class TestTreeTable:
     def test_children_follow_parents_once(self, model):
         for tree in model.trees:
             n = len(tree.feature)
-            fields = (tree.threshold, tree.gain, tree.cover, tree.value, tree.left)
-            assert all(len(f) == n for f in fields + (tree.right,))
+            fields = (tree.threshold, tree.gain, tree.cover, tree.value, tree.right)
+            assert all(len(f) == n for f in fields)
             parents = [0] * n
             for i, feature in enumerate(tree.feature):
                 if feature < 0:
-                    assert (tree.left[i], tree.right[i]) == (-1, -1)
+                    assert tree.right[i] == -1
                     continue
-                assert tree.left[i] == i + 1  # pre-order, left child first
-                assert i < tree.left[i] < tree.right[i] < n
-                parents[tree.left[i]] += 1
+                # Pre-order, left child first: the left child is node i + 1.
+                assert i + 1 < tree.right[i] < n
+                parents[i + 1] += 1
                 parents[tree.right[i]] += 1
             assert parents == [0] + [1] * (n - 1)
 

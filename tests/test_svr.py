@@ -147,8 +147,8 @@ class TestFitBasics:
             dual_coefs=np.empty(0),
             bias=1.5,
             params=SvrParams(),
-            n_features=2,
         )
+        assert model.n_features == 2
         np.testing.assert_array_equal(model.predict(np.zeros((4, 2))), np.full(4, 1.5))
 
     def test_interpolation_quality(self, rng):
@@ -176,6 +176,23 @@ class TestFitBasics:
         # NaN fails every SMO comparison, so its row used to be silently ignored.
         with pytest.raises(ValueError, match="target must be finite"):
             svr.fit([[0.0], [1.0], [2.0]], [0.0, bad, 1.0], SvrParams())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        # Named as a feature, not as the kernel overflow the NaN would cause.
+        with pytest.raises(ValueError, match="features must be finite"):
+            svr.fit([[0.0], [bad], [2.0]], [0.0, 1.0, 1.0], SvrParams())
+
+    def test_predict_arity_checked(self):
+        model = svr.fit([[0.0], [1.0], [2.0]], [0.0, 1.0, 1.0], SvrParams())
+        with pytest.raises(ValueError, match="expected 1 feature column"):
+            model.predict(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_predict_rejects_non_finite_feature(self, bad):
+        model = svr.fit([[0.0], [1.0], [2.0]], [0.0, 1.0, 1.0], SvrParams())
+        with pytest.raises(ValueError, match="features must be finite"):
+            model.predict([[0.0], [bad]])
 
 
 def smo_oracle(K, y, C, eps, tol, max_iter):
