@@ -7,12 +7,21 @@ feeds. The split scan takes lists that `gbrt.fit` builds once per fit: the
 feature columns, each candidate column's rows presorted by value and
 partitioned down to the node, and the gradients, so it neither sorts nor
 converts; its per-candidate denominators depend only on the node's row
-count and reg_lambda, and come from a small cache. SMO turns its numpy
-inputs into lists once per call with `.tolist()`, and each of its
-iterations walks the coefficients once: that pass both adds the last step
-to v = K @ beta and selects the next pair. SMO keeps each coefficient's
-set membership as two offsets beside beta, reset only for the two
-coefficients a step moves, so that pass adds an offset to e instead of
+count and reg_lambda, and come from a small cache.
+
+The scan prices a candidate's parent term only when the candidate can
+still win. Its gain is 0.5 * (s - p) - gamma, computed in that order, with
+s the sum of the two side terms and p >= 0 the parent term. IEEE rounding
+is monotone, so the computed s - p is at most s (or NaN) and the computed
+gain is at most the computed 0.5 * s - gamma (or NaN). When that bound is
+<= best_gain, the gain cannot pass the strict `gain > best_gain`, and the
+candidate is skipped; a NaN bound fails the `<=` and is priced as before.
+
+SMO turns its numpy inputs into lists once per call with `.tolist()`, and
+each of its iterations walks the coefficients once: that pass both adds the
+last step to v = K @ beta and selects the next pair. SMO keeps each
+coefficient's set membership as two offsets beside beta, reset only for the
+two coefficients a step moves, so that pass adds an offset to e instead of
 branching on beta. The pass zips its index with its lists, unpacking one
 flat tuple, and stores e + offset only when it beats the best so far.
 Python floats are IEEE doubles like float64, so these loops return, bit for
@@ -95,10 +104,15 @@ def best_split_kernel(cols, orders, rows, g, reg_lambda, reg_alpha, gamma):
             tl = 0.0 if tl < 0.0 else tl
             tr = (gr if gr >= 0.0 else -gr) - reg_alpha
             tr = 0.0 if tr < 0.0 else tr
+            s = tl * tl / dl + tr * tr / dr
+            # The parent term only lowers the gain (module docstring), so a
+            # candidate whose bound cannot beat best_gain is not priced.
+            if 0.5 * s - gamma <= best_gain:
+                continue
             tp = gl + gr
             tp = (tp if tp >= 0.0 else -tp) - reg_alpha
             tp = 0.0 if tp < 0.0 else tp
-            gain = 0.5 * (tl * tl / dl + tr * tr / dr - tp * tp / parent_den) - gamma
+            gain = 0.5 * (s - tp * tp / parent_den) - gamma
             if gain > best_gain:
                 best_gain = gain
                 best_col = j

@@ -123,6 +123,8 @@ def load_csv(path) -> Dataset:
             table = list(reader)
         except csv.Error as exc:  # say a cell over csv's field size limit
             raise DatasetError(f"{path}: row {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # decoding runs ahead of the rows: no row number
+            raise DatasetError(f"{path}: {exc}") from None
         if not table:
             raise DatasetError(f"{path}: empty dataset")
         header = table[0]

@@ -31,9 +31,12 @@ threshold test, which keeps every list in order. No node sorts, slices an
 array or calls numpy, and the split scan reads the orders directly. A stable
 order restricted to a node's rows is the stable sort of those rows, so the
 trees are those a per-node sort gives, bit for bit; a leaf sums its
-gradients as numpy's pairwise sum would (`_pairwise_sum`). Sampled rows take
-their prediction update from the leaf they were partitioned into; only the
-rows that subsampling left out walk the new tree.
+gradients as numpy's pairwise sum would (`_pairwise_sum`). The rows that
+subsampling left out ride along: each split partitions them with the same
+threshold test `predict_tree` applies, so they end in the leaf a walk of
+the new tree would reach (XGBoost's prediction cache, updated from the row
+partition of growth). Every row takes its prediction update from its leaf,
+and `fit` walks no tree.
 
 While the training predictions keep their bits, so do the gradients, so a
 tree is a pure function of its round's draw of rows and columns. `fit`
@@ -226,18 +229,21 @@ def _pairwise_block(v: list, lo: int, n: int) -> float:
     return total
 
 
-def build_tree(cols, orders, rows, g, params: GbrtParams, columns=None):
+def build_tree(cols, orders, rows, g, params: GbrtParams, columns=None, left_out=()):
     """Grow one tree by exact greedy search, depth first from an explicit stack.
 
     cols and orders are `presort` of the fit's features; rows are the rows
     the tree is grown on, in ascending order; g holds every row's gradient.
     columns are the candidate columns in ascending index order, so
     tie-breaking stays by original index; None means every column.
+    left_out are rows the tree is not grown on; growth only routes them.
 
-    Each node carries its rows and, for each candidate column, its rows in
-    that column's order. A split partitions every one of these lists with
-    the threshold test, which keeps each in its order, so no node sorts.
-    Returns the tree and its leaves as (node, rows) pairs.
+    Each node carries its rows, its left-out rows and, for each candidate
+    column, its rows in that column's order. A split partitions every one
+    of these lists with the threshold test that `predict_tree` applies,
+    which keeps each in its order, so no node sorts and a left-out row
+    ends in the leaf that `predict_tree` would send it to. Returns the tree
+    and its leaves as (node, rows, left-out rows) triples.
     """
     if not rows:
         raise ValueError("need at least one sample")
@@ -252,32 +258,47 @@ def build_tree(cols, orders, rows, g, params: GbrtParams, columns=None):
             sampled[r] = True
         node_orders = [[r for r in orders[c] if sampled[r]] for c in columns]
 
-    tree = Tree()
+    feature, threshold, gain, cover, value, right = [], [], [], [], [], []
     leaves = []
-    # (rows, their orders, depth, parent if this is a right child else -1);
-    # the left child is pushed last so it is numbered next (pre-order).
-    stack = [(rows, node_orders, 0, -1)]
+    # (rows, left-out rows, their orders, depth, parent if this is a right
+    # child else -1); the left child is pushed last so it is numbered next
+    # (pre-order).
+    stack = [(rows, left_out, node_orders, 0, -1)]
     while stack:
-        rows, node_orders, depth, parent = stack.pop()
-        gain, col_local = 0.0, -1
+        rows, left_out, node_orders, depth, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
+        split_gain, col_local = 0.0, -1
         if depth < params.max_depth and len(rows) >= 2:
-            gain, col_local, threshold = _kernels.best_split_kernel(
+            split_gain, col_local, thr = _kernels.best_split_kernel(
                 tree_cols, node_orders, rows, g,
                 params.reg_lambda, params.reg_alpha, params.gamma,
             )
-        if col_local < 0 or gain <= 0.0:
-            value = leaf_weight(_pairwise_sum([g[r] for r in rows]), float(len(rows)), params)
-            leaves.append((_add_node(tree, parent, value=value), rows))
+        right.append(-1)
+        if col_local < 0 or split_gain <= 0.0:
+            feature.append(-1)
+            threshold.append(0.0)
+            gain.append(0.0)
+            cover.append(0.0)
+            value.append(
+                leaf_weight(_pairwise_sum([g[r] for r in rows]), float(len(rows)), params)
+            )
+            leaves.append((node, rows, left_out))
             continue
-        node = _add_node(tree, parent, columns[col_local], threshold, gain, float(len(rows)))
+        feature.append(columns[col_local])
+        threshold.append(thr)
+        gain.append(split_gain)
+        cover.append(float(len(rows)))
+        value.append(0.0)
         col = tree_cols[col_local]
-        lists = [rows, *node_orders]
+        lists = [rows, left_out, *node_orders]
         # Features and thresholds are never NaN, so > is the complement of <=.
-        right = [[r for r in part if col[r] > threshold] for part in lists]
-        left = [[r for r in part if col[r] <= threshold] for part in lists]
-        stack.append((right[0], right[1:], depth + 1, node))
-        stack.append((left[0], left[1:], depth + 1, -1))
-    return tree, leaves
+        r_rows, r_out, *r_orders = [[r for r in part if col[r] > thr] for part in lists]
+        l_rows, l_out, *l_orders = [[r for r in part if col[r] <= thr] for part in lists]
+        stack.append((r_rows, r_out, r_orders, depth + 1, node))
+        stack.append((l_rows, l_out, l_orders, depth + 1, -1))
+    return Tree(feature, threshold, gain, cover, value, right), leaves
 
 
 def predict_tree(tree: Tree, rows) -> list[float]:
@@ -328,8 +349,8 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
 
     Each round's rows and columns come from `_sample_schedule`, so equal
     params give equal trees on equal data; the rows a round leaves out still
-    receive its prediction update, so the next round's gradients are
-    consistent.
+    receive its prediction update, from the leaf growth routed them to, so
+    the next round's gradients are consistent.
 
     Columns are sorted once per fit, and a round whose draw already grew a
     tree that changed no prediction's bits, with no prediction changed
@@ -348,7 +369,6 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
         base_score=params.base_score, eta=params.eta, feature_names=feature_names
     )
     cols, orders = presort(X)
-    X_rows = X.tolist()
     y = y.tolist()
     preds = [params.base_score] * n
     schedule = _sample_schedule(
@@ -366,16 +386,15 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
             ensemble.trees.append(_copy_tree(tree))
             continue
         g = [p - t for p, t in zip(preds, y)]
-        tree, leaves = build_tree(cols, orders, rows, g, params, columns)
+        tree, leaves = build_tree(cols, orders, rows, g, params, columns, left_out)
         value = tree.value = [v * params.eta for v in tree.value]
         ensemble.trees.append(tree)
         new = preds[:]
-        for node, leaf_rows in leaves:
+        for node, leaf_rows, leaf_out in leaves:
             v = value[node]
             for r in leaf_rows:
                 new[r] += v
-        if left_out:
-            for r, v in zip(left_out, predict_tree(tree, [X_rows[r] for r in left_out])):
+            for r in leaf_out:
                 new[r] += v
         new_bits = bits(*new)
         if new_bits == preds_bits:

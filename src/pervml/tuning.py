@@ -264,20 +264,24 @@ def read_params_file(path, family: str) -> dict:
 
     Each value is parsed as the type `family`'s params class declares.
     """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     combo = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {line_num}: expected key = value")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            try:
-                combo[key] = _parse_value(family, key, raw)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_num}: {exc}") from exc
+    for line_num, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {line_num}: expected key = value")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        try:
+            combo[key] = _parse_value(family, key, raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_num}: {exc}") from exc
     if not combo:
         raise ValueError(f"{path}: no parameters found")
     return combo
@@ -290,7 +294,7 @@ def read_grid_file(path) -> dict[str, HyperGrid]:
     try:
         with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     grids = {}
     for family in parser.sections():

@@ -266,6 +266,25 @@ class TestSettingsFiles:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
+        "command, text",
+        [
+            (["train", "--params"], b"n_estimators = 4\n# caf\xff\n"),
+            (["tune", "--model", "gbrt", "--grid"], b"[gbrt]\n# caf\xff\nn_estimators = 3\n"),
+            (["stats"], Path(bundled_path()).read_bytes().replace(b"C1,", b"C\xff,", 1)),
+        ],
+        ids=["params", "grid", "csv"],
+    )
+    def test_non_utf8_file_exits_2_naming_it(self, tmp_path, capsys, command, text):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(text)
+        out = [] if command == ["stats"] else ["--out", str(tmp_path / "out")]
+        rc = run_cli(*command, str(path), *out)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{path}: 'utf-8' codec can't decode byte 0xff" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "family, setting",
         [("svr", "C = nan"), ("svr", "epsilon = inf"), ("gbrt", "reg_lambda = nan"),
          ("gbrt", "eta = -inf")],

@@ -4,7 +4,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pervml import gbrt
@@ -307,7 +307,9 @@ def split_problems(draw):
         draw(st.sampled_from([0.0, 0.3])),  # reg_alpha
         draw(st.sampled_from([0.0, 0.1])),  # gamma
     )
-    return X, g, reg
+    # A node holds any subset of the fit's rows.
+    rows = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return X, g, reg, rows
 
 
 def split_bits(result) -> str:
@@ -315,15 +317,28 @@ def split_bits(result) -> str:
     return repr((float(gain), col, float(threshold)))
 
 
+def split_example(X, g, reg):
+    """An explicit split problem on every row."""
+    return np.array(X, dtype=float), np.array(g, dtype=float), reg, list(range(len(g)))
+
+
 class TestSplitKernelMatchesOracle:
     @settings(max_examples=200, deadline=None)
-    @given(split_problems(), st.data())
-    def test_bit_identical(self, problem, data):
-        X, g, reg = problem
-        # A node holds any subset of the fit's rows. The kernel reads the
-        # fit's presorted orders cut down to those rows; the oracle sorts a
-        # C-order copy of the node's own rows.
-        rows = sorted(data.draw(st.sets(st.integers(0, len(X) - 1), min_size=1)))
+    @given(split_problems())
+    # Column 1 repeats column 0, so its one candidate ties the best gain
+    # exactly and is skipped, its bound equal to that gain: the parent term
+    # is 0 because the gradients cancel (first example) or |G| <= reg_alpha
+    # (second), or it is below half an ulp of side terms near 1e16 (third).
+    @example(split_example([[0.0, 0.0], [1.0, 1.0]], [1.0, -1.0], (1.0, 0.0, 0.0)))
+    @example(split_example([[0.0, 0.0], [1.0, 1.0]], [1.0, -0.8], (1.0, 0.3, 0.1)))
+    @example(split_example([[0.0, 0.0], [1.0, 1.0]], [1e8, 1 / 3 - 1e8], (1.0, 0.0, 0.0)))
+    # The second candidate wins only through its right side: its left
+    # term alone (0.667) is below the first candidate's gain (0.792).
+    @example(split_example([[0.0], [1.0], [2.0]], [1.0, 1.0, -3.0], (1.0, 0.0, 0.0)))
+    def test_bit_identical(self, problem):
+        X, g, reg, rows = problem
+        # The kernel reads the fit's presorted orders cut down to the node's
+        # rows; the oracle sorts a C-order copy of the node's own rows.
         cols, orders = presort(X)
         node_orders = [[r for r in order if r in rows] for order in orders]
         got = best_split_kernel(cols, node_orders, rows, g.tolist(), *reg)
@@ -519,9 +534,9 @@ class TestCoverIsRowCount:
         )
         sampled = []
 
-        def recording_build_tree(cols, orders, rows, g, params, columns=None):
+        def recording_build_tree(cols, orders, rows, g, params, columns=None, left_out=()):
             sampled.append(X[list(rows)])
-            return build_tree(cols, orders, rows, g, params, columns)
+            return build_tree(cols, orders, rows, g, params, columns, left_out)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gbrt, "build_tree", recording_build_tree)
@@ -712,9 +727,9 @@ class TestMatchesPerNodeReference:
         """The candidate columns of every tree `fit` grows, in order."""
         grown = []
 
-        def recording_build_tree(cols, orders, rows, g, params, columns=None):
+        def recording_build_tree(cols, orders, rows, g, params, columns=None, left_out=()):
             grown.append(columns)
-            return build_tree(cols, orders, rows, g, params, columns)
+            return build_tree(cols, orders, rows, g, params, columns, left_out)
 
         monkeypatch.setattr(gbrt, "build_tree", recording_build_tree)
         return grown
@@ -764,6 +779,65 @@ class TestMatchesPerNodeReference:
         y = np.array([0.0, 0.0])
         params = GbrtParams(n_estimators=3, max_depth=1, base_score=-0.0, reg_alpha=0.5)
         assert_matches_reference(X, y, params, X)
+
+
+@st.composite
+def subsampled_growth(draw):
+    """A tree's inputs under row subsampling: tied features (0.0 and -0.0
+    among them), gradients, and one round's draw from `_sample_schedule`."""
+    n = draw(st.integers(4, 19))
+    d = draw(st.integers(1, 4))
+    X = np.array(
+        draw(st.lists(tie_values, min_size=n * d, max_size=n * d)), dtype=float
+    ).reshape(n, d)
+    g = draw(st.lists(gradients, min_size=n, max_size=n))
+    subsample = draw(st.sampled_from([0.3, 0.5, 0.7]))
+    colsample = draw(st.sampled_from([0.6, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows, left_out, columns = gbrt._sample_schedule(seed, n, d, subsample, colsample, 1)[0]
+    params = GbrtParams(
+        max_depth=draw(st.integers(0, 4)),
+        gamma=draw(st.sampled_from([0.0, 0.005])),
+        reg_lambda=draw(st.sampled_from([0.0, 0.81])),
+        reg_alpha=draw(st.sampled_from([0.0, 0.11])),
+    )
+    return X, g, rows, left_out, columns, params
+
+
+class TestLeftOutRouting:
+    """Growth routes the rows subsampling left out with the split test, so
+    `fit` updates them from the leaves and walks no tree."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(subsampled_growth())
+    def test_leaf_rows_are_the_rows_predict_tree_sends_there(self, problem):
+        X, g, rows, left_out, columns, params = problem
+        tree, leaves = build_tree(*presort(X), rows, g, params, columns, left_out)
+        # The same tree with each leaf's node number as its value.
+        numbered = replace(tree, value=[float(node) for node in range(len(tree.value))])
+        X_rows = X.tolist()
+
+        def sent_to(part):
+            """Each leaf's rows of part, in ascending order, by predict_tree."""
+            reached = predict_tree(numbered, [X_rows[r] for r in part])
+            return {node: [r for r, to in zip(part, reached) if to == node] for node, *_ in leaves}
+
+        assert {node: list(out) for node, _, out in leaves} == sent_to(left_out)
+        assert {node: list(leaf_rows) for node, leaf_rows, _ in leaves} == sent_to(rows)
+        assert sorted(r for _, _, out in leaves for r in out) == list(left_out)
+
+    def test_subsampled_fit_walks_no_tree(self, monkeypatch, rng):
+        X = rng.integers(0, 4, size=(15, 3)) / 4.0
+        y = rng.uniform(size=15)
+        params = GbrtParams(n_estimators=12, max_depth=3, subsample=0.6, seed=7)
+
+        def no_walk(*args):
+            raise AssertionError("fit walked a tree")
+
+        monkeypatch.setattr(gbrt, "predict_tree", no_walk)
+        model = gbrt.fit(X, y, params)
+        want = reference_fit(X, y, params)
+        assert [tree_bits(t) for t in model.trees] == [tree_bits(t) for t in want]
 
 
 class TestSampleSchedule:
