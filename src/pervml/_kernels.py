@@ -27,11 +27,34 @@ flat tuple, and stores e + offset only when it beats the best so far.
 Python floats are IEEE doubles like float64, so these loops return, bit for
 bit, what the same loops return on numpy scalars; the tests keep those as
 oracles. These loops are the only implementation.
+
+SMO runs at different C on one problem (K, y, eps, tol, max_iter) share a
+prefix. Call a step box-free when s_opt < s_box and both new coefficients
+lie strictly inside (-C, C). Such a step, and the offsets it sets, are the
+same under every C' >= C: a step reads C only in s_box = min(C - bi,
+bj + C), in the two landing tests and in the offsets' comparisons with
++-C. IEEE rounding is monotone, so s_box' >= s_box, and each segment
+before the one that breaks ends at an unclipped kink below s_box, the same
+under C'. The breaking segment is at least as long under C' (a quadratic
+break keeps its q, a kink break its kink). s_opt < s_box <= C' - bi and
+<= bj + C' fails both landing tests under C' as under C. Coefficients
+inside (-C, C) are inside (-C', C'), so the offsets agree. The pass reads
+C only through the offsets. So a run at C' repeats, bit for bit, every
+step of a run at C up to that run's first step that is not box-free, or
+its return if there is none. There the run at C stores the state the step
+starts from: n_iter, beta and v. Every coefficient of that state is inside
+the box, so its offsets follow from beta's signs alone and are not stored.
+A run at C' >= C resumes from it with a zero step: v is never -0.0 (a sum
+is -0.0 only when both terms are, and v starts at +0.0), so v + 0.0 keeps
+its bits, and the first pass picks the pair the stored run picked, or
+returns where it returned.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
+from array import array
 
 import numpy as np
 
@@ -39,6 +62,12 @@ INF = float("inf")
 
 # Run records note which kernel path ran; these loops are the only one.
 NUMBA_ENABLED = False
+
+# SMO prefixes shared across C, or None: {(K bytes, y bytes): {(eps and tol
+# bytes, max_iter): (C, n_iter, beta + v as doubles)}}, one entry per key,
+# from the largest C so far. tuning.grid_search makes it a dict while it
+# scores its grid and sets it back to None, so every other call is cold.
+_smo_prefixes = None
 
 
 @functools.lru_cache(maxsize=256)
@@ -139,8 +168,8 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     Each iteration walks the coefficients once. That pass adds the last
     step to v = K @ beta, as `v[t] + (K[t, i]*d_i + K[t, j]*d_j)`, and picks
     the next pair from e = y - v, the first index winning a tie. The first
-    pass adds a zero step read from beta's zeros, not from K, so v stays
-    +0.0 and an empty problem reads no column.
+    pass adds a zero step read from beta itself, not from K, so an empty
+    problem reads no column.
 
     The pass does not branch on beta: it reads each coefficient's offsets
     up[t] and low[t] and tests s = e + up[t] and s = e + low[t], computing
@@ -154,24 +183,44 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     out gets s = e - inf (up) or e + inf (low), an infinity or nan, which
     fails the strict `>` / `<` tests just as skipping it does.
 
+    While `_smo_prefixes` is a dict, a run starts where an earlier run on
+    the same K, y, eps, tol and max_iter at a C no larger than its own
+    first touched its box (module docstring), and leaves there the point
+    where it first touched its own box. The result is the cold run's, bit
+    for bit; n_iter counts the steps of both runs' shared prefix.
+
     Returns (beta, max_up, min_low, n_iter, converged): beta is a float64
     array; max_up / min_low bracket the feasible bias interval at
     termination; their gap is the stopping measure compared against tol.
     """
+    store = _smo_prefixes
+    prefixes = prefix = None
+    if store is not None:
+        prefixes = store.setdefault((K.tobytes(), y.tobytes()), {})
+        key = (struct.pack("2d", eps, tol), max_iter)
+        prefix = prefixes.get(key)
+    # Only a run at a larger C than the stored prefix's can lengthen it.
+    sharing = prefixes is not None and (prefix is None or C > prefix[0])
     # cols[j][t] is K[t, j]. The update of v reads columns of K, and a Gram
     # matrix from BLAS need not be exactly symmetric, so rows would not do.
     cols = K.T.tolist()
     y = y.tolist()
     n = len(y)
-    beta = [0.0] * n
-    v = [0.0] * n  # K @ beta, maintained incrementally
+    if prefix is not None and C >= prefix[0]:
+        _, it, state = prefix
+        state = state.tolist()
+        beta = state[:n]
+        v = state[n:]  # K @ beta, maintained incrementally
+    else:
+        it = 0
+        beta = [0.0] * n
+        v = [0.0] * n
     neg_C = -C
     two_eps = 2.0 * eps
-    # beta = 0 is strictly inside the box, so it starts in both sets.
-    up = [-eps] * n
-    low = [eps] * n
-    it = 0
-    col_i = col_j = beta  # the first move is zero along beta's zeros
+    # Every coefficient of a start is strictly inside the box.
+    up = [-eps if b >= 0.0 else eps for b in beta]
+    low = [-eps if b > 0.0 else eps for b in beta]
+    col_i = col_j = beta  # the first move is zero along beta
     d_i = d_j = 0.0
     while True:
         # Add the last move to v; pick the maximal violating pair, i up, j down.
@@ -188,10 +237,8 @@ def smo_solve(K, y, C, eps, tol, max_iter):
             if e + lt < low_best:
                 low_best = e + lt
                 j = t
-        if i < 0 or j < 0 or up_best - low_best <= tol:
-            return np.array(beta, dtype=float), up_best, low_best, it, True
-        if it >= max_iter:
-            return np.array(beta, dtype=float), up_best, low_best, it, False
+        if i < 0 or j < 0 or up_best - low_best <= tol or it >= max_iter:
+            break
         it += 1
 
         bi = beta[i]
@@ -235,24 +282,36 @@ def smo_solve(K, y, C, eps, tol, max_iter):
 
         # Land exactly on box / zero boundaries hit by s_opt.
         if s_opt == C - bi:
-            beta[i] = C
+            bi_new = C
         elif s_opt == -bi:
-            beta[i] = 0.0
+            bi_new = 0.0
         else:
-            beta[i] = bi + s_opt
+            bi_new = bi + s_opt
         if s_opt == bj + C:
-            beta[j] = neg_C
+            bj_new = neg_C
         elif s_opt == bj:
-            beta[j] = 0.0
+            bj_new = 0.0
         else:
-            beta[j] = bj - s_opt
+            bj_new = bj - s_opt
+        # The first step that is not box-free ends the prefix that every
+        # larger C shares: store the state this step starts from.
+        if sharing and not (
+            s_opt < s_box and neg_C < bi_new < C and neg_C < bj_new < C
+        ):
+            prefixes[key] = (C, it - 1, array("d", beta + v))
+            sharing = False
 
-        d_i = beta[i] - bi
-        d_j = beta[j] - bj
+        beta[i] = bi_new
+        beta[j] = bj_new
+        d_i = bi_new - bi
+        d_j = bj_new - bj
         # Only beta[i] and beta[j] moved, so only their offsets change.
-        bt = beta[i]
-        up[i] = (-eps if bt >= 0.0 else eps) if bt < C else -INF
-        low[i] = (-eps if bt > 0.0 else eps) if bt > neg_C else INF
-        bt = beta[j]
-        up[j] = (-eps if bt >= 0.0 else eps) if bt < C else -INF
-        low[j] = (-eps if bt > 0.0 else eps) if bt > neg_C else INF
+        up[i] = (-eps if bi_new >= 0.0 else eps) if bi_new < C else -INF
+        low[i] = (-eps if bi_new > 0.0 else eps) if bi_new > neg_C else INF
+        up[j] = (-eps if bj_new >= 0.0 else eps) if bj_new < C else -INF
+        low[j] = (-eps if bj_new > 0.0 else eps) if bj_new > neg_C else INF
+
+    if sharing:
+        prefixes[key] = (C, it, array("d", beta + v))
+    converged = i < 0 or j < 0 or up_best - low_best <= tol
+    return np.array(beta, dtype=float), up_best, low_best, it, converged

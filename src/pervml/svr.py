@@ -54,6 +54,9 @@ class SvrParams:
             raise ValueError(f"kernel must be one of {tuple(KERNEL_FIELDS)}")
         if self.kernel == "rbf" and self.gamma <= 0:
             raise ValueError("gamma must be > 0 for the rbf kernel")
+        if self.degree < 0:
+            # (gamma x.y + coef0) ** -1 is not a kernel; LIBSVM rejects it too.
+            raise ValueError("degree must be >= 0")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
         if self.max_passes < 1:

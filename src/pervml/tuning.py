@@ -16,7 +16,7 @@ from types import ModuleType
 
 import numpy as np
 
-from . import gbrt, svr
+from . import _kernels, gbrt, svr
 from .data import FEATURE_COLUMNS, Dataset, Scaler
 from .metrics import mse
 from .modelio import field_types
@@ -165,6 +165,9 @@ def grid_search(
     A combination whose params or fit raise is recorded with its error and
     ranked last, as is one whose mean is NaN; the search continues.
     Everything runs in normalized space; results keep grid iteration order.
+    While it scores the grid, SMO runs share their prefixes across C
+    (`_kernels._smo_prefixes` is a dict); the store is dropped when it
+    returns or raises, so no other fit sees it.
     """
     folds = kfold_indices(train.y.shape[0], k, seed)
     results = [CvResult(combination=dict(c)) for c in grid.combinations()]
@@ -178,8 +181,12 @@ def grid_search(
             continue
         # repr tells 1 from 1.0 and 0.0 from -0.0, so shared fits are exact.
         groups.setdefault(repr(key), []).append((result, params, stage))
-    for members in groups.values():
-        _score_group(train, grid.family, folds, members)
+    _kernels._smo_prefixes = {}
+    try:
+        for members in groups.values():
+            _score_group(train, grid.family, folds, members)
+    finally:
+        _kernels._smo_prefixes = None
 
     order = sorted(range(len(results)), key=lambda i: _rank_key(results[i].mean_mse, i))
     for rank, idx in enumerate(order, start=1):

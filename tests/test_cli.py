@@ -483,6 +483,21 @@ class TestTune:
         assert f"CV mean MSE {cv[2][-3]};" in best
         assert "degree = 2\n" in best
 
+    def test_negative_degree_fails_and_ranks_last(self, tmp_path, capsys):
+        # (gamma x.y + coef0) ** -1 is not a kernel: the combination is an error.
+        grid = tmp_path / "grid.ini"
+        grid.write_text("[svr]\nkernel = polynomial\ndegree = -1, 2\ngamma = 0.5\ncoef0 = 1\n")
+        out = tmp_path / "out"
+        rc = run_cli("tune", "--model", "svr", "--grid", str(grid), "--out", str(out))
+        assert rc == 0
+        cv = read_csv(out / "cv_results_svr_compressive.csv")
+        assert [(row[1], row[-3], row[-2]) for row in cv[1:]] == [
+            ("-1", "inf", "2"),
+            ("2", cv[2][-3], "1"),
+        ]
+        assert cv[1][-1] == "ValueError: degree must be >= 0"
+        assert "degree = 2\n" in (out / "best_params_svr_compressive.txt").read_text()
+
     def test_every_cap_hit_escapes_as_one_warning(self, tmp_path, capsys, monkeypatch):
         # The benchmark's traced run fails when its SvrConvergenceWarning count
         # differs from the SMO cap hits, so neither the CLI nor svr.fit may

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pervml import svr
+from pervml import _kernels, svr
 from pervml._kernels import smo_solve
 from pervml.data import fit_scaler, load_bundled, reference_split, split
 from pervml.modelio import ModelIOError
@@ -293,6 +293,9 @@ def smo_bits(result) -> tuple:
     return beta.tobytes(), repr(float(max_up)), repr(float(min_low)), n_iter, converged
 
 
+SMO_C_VALUES = [1e-3, 0.01, 0.1, 1.0, 10.0, 100.0]
+
+
 @st.composite
 def smo_problems(draw):
     """(K, y, C, eps, tol, max_iter) over every kernel, n up to the 19 rows
@@ -316,11 +319,35 @@ def smo_problems(draw):
     return (
         K,
         y,
-        draw(st.sampled_from([1e-3, 0.01, 0.1, 1.0, 10.0, 100.0])),
+        draw(st.sampled_from(SMO_C_VALUES)),
         draw(st.sampled_from([0.0, 0.01, 0.1])),
         draw(st.sampled_from([1e-3, 1e-6])),
         draw(st.sampled_from([0, 1, 3, 20, 10_000])),
     )
+
+
+@st.composite
+def smo_c_paths(draw):
+    """An smo_problems() problem and 2-4 C values to solve it at in turn (the
+    problem's own C is not used): in the order drawn, ascending or
+    descending, repeats allowed."""
+    problem = draw(smo_problems())
+    Cs = draw(st.lists(st.sampled_from(SMO_C_VALUES), min_size=2, max_size=4))
+    order = draw(st.sampled_from(["drawn", "ascending", "descending"]))
+    if order != "drawn":
+        Cs.sort(reverse=order == "descending")
+    return problem, Cs
+
+
+def solve_in_order(problem, Cs):
+    """smo_solve on `problem` at each C of Cs in turn, with the prefix store
+    live as grid_search keeps it; returns the results and the store."""
+    K, y, _, eps, tol, max_iter = problem
+    _kernels._smo_prefixes = store = {}
+    try:
+        return [smo_solve(K, y, C, eps, tol, max_iter) for C in Cs], store
+    finally:
+        _kernels._smo_prefixes = None
 
 
 def compressive_fold_problem():
@@ -385,6 +412,47 @@ class TestSmoMatchesOracle:
     @example(compressive_fold_problem())
     def test_bit_identical(self, problem):
         assert smo_bits(smo_solve(*problem)) == smo_bits(smo_oracle(*problem))
+
+    @settings(max_examples=100, deadline=None)
+    @given(smo_c_paths())
+    @example(  # the first step lands on the box at C = 0.01: the prefix is empty
+        ((np.eye(4), np.array([1.0, -1.0, 0.5, -0.5]), 1.0, 0.0, 1e-3, 100), [0.01, 100.0])
+    )
+    @example(  # one interior step and convergence: the whole run is box-free
+        ((np.eye(2), np.array([1.0, -1.0]), 1.0, 0.0, 1e-3, 100), [10.0, 20.0])
+    )
+    @example(  # box-free up to the cap: each run resumes at its end, unconverged
+        ((np.eye(3), np.array([-0.2, 0.9, 0.1]), 1.0, 0.0, 1e-3, 2), [10.0, 10.0, 20.0])
+    )
+    @example(  # C = 100 leaves a prefix that C = 0.01 must not take
+        ((np.eye(4), np.array([1.0, -1.0, 0.5, -0.5]), 1.0, 0.0, 1e-3, 100), [100.0, 0.01])
+    )
+    @example(  # the third step's s_opt, 0.062499999999999986, is below s_box =
+        # 0.0625, but 0.55 + s_opt rounds to C = 0.6125: coefficient 1 is on
+        # the box and the prefix ends
+        ((np.eye(3), np.array([-0.2, 0.9, 0.1]), 1.0, 0.0, 1e-3, 100), [0.6125, 1.225])
+    )
+    @example(  # the same with y negated: coefficient 1 rounds to -C
+        ((np.eye(3), np.array([0.2, -0.9, -0.1]), 1.0, 0.0, 1e-3, 100), [0.6125, 1.225])
+    )
+    @example((compressive_fold_problem(), [39.0, 200.0]))
+    def test_prefix_sharing_is_bit_identical(self, path):
+        problem, Cs = path
+        K, y, _, eps, tol, max_iter = problem
+        shared, _ = solve_in_order(problem, Cs)
+        for C, result in zip(Cs, shared):
+            cold = (K, y, C, eps, tol, max_iter)
+            assert smo_bits(result) == smo_bits(smo_solve(*cold)) == smo_bits(smo_oracle(*cold))
+
+    def test_store_keeps_the_largest_c_prefix(self):
+        problem = compressive_fold_problem()
+        K, y, _, eps, tol, max_iter = problem
+        _, store = solve_in_order(problem, [39.0])
+        ((_, prefix),) = store[(K.tobytes(), y.tobytes())].items()
+        assert prefix[0] == 39.0 and prefix[1] > 0
+        _, store = solve_in_order(problem, [39.0, 200.0, 1.0])
+        ((_, longer),) = store[(K.tobytes(), y.tobytes())].items()
+        assert longer[0] == 200.0 and longer[1] >= prefix[1]
 
     def test_empty_problem(self):
         problem = (np.empty((0, 0)), np.empty(0), 1.0, 0.1, 1e-3, 100)
@@ -490,6 +558,7 @@ class TestParamValidation:
             {"kernel": "rbf", "gamma": 0.0},
             {"tol": 0.0},
             {"max_passes": 0},
+            {"kernel": "polynomial", "degree": -1},
         ],
     )
     def test_rejects(self, bad):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pervml import gbrt, svr, tuning
+from pervml import _kernels, cli, gbrt, pipeline, svr, tuning
 from pervml.data import FEATURE_COLUMNS
 from pervml.metrics import mse
 from pervml.tuning import (
@@ -221,6 +221,17 @@ ORACLE_GRIDS = {
             "max_passes": (50,),
         },
     ),
+    # SMO runs share prefixes across C (_kernels._smo_prefixes): C = 200
+    # runs first, so C = 1 and C = 39 must not take its prefix.
+    "svr_c_unsorted": (
+        "svr",
+        {"C": (200.0, 1.0, 39.0), "epsilon": (0.1,), "kernel": ("rbf", "sigmoid"), "gamma": (0.11,)},
+    ),
+    # The linear kernel hits the 300-step SMO cap at C 39 and 200.
+    "svr_cap_hits": (
+        "svr",
+        {"C": (1.0, 39.0, 200.0), "epsilon": (0.01, 0.1), "kernel": ("linear",), "max_passes": (300,)},
+    ),
     # Degree 400 overflows the Gram matrix: a failed fit, listed first.
     "nan_score_first": (
         "svr",
@@ -237,7 +248,7 @@ ORACLE_GRIDS = {
 
 
 class TestSharedFitsMatchUnshared:
-    # nan_score_first and mixed_kernels hit the SMO cap at max_passes 50.
+    # nan_score_first, mixed_kernels and svr_cap_hits hit the SMO cap.
     @pytest.mark.filterwarnings("ignore::pervml.svr.SvrConvergenceWarning")
     @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
     def test_results_identical(self, train_slices, name):
@@ -280,6 +291,58 @@ class TestSharedFitsMatchUnshared:
         calls = count_fits(monkeypatch, svr)
         grid_search(train_slices["density"], HyperGrid(family="svr", axes=axes), k=5, seed=42)
         assert calls[0] == fit_keys * 5
+
+
+def record_smo_stores(monkeypatch):
+    """The SMO prefix store each smo_solve call sees from here on."""
+    seen = []
+    solve = _kernels.smo_solve
+
+    def recording_solve(*args):
+        seen.append(_kernels._smo_prefixes)
+        return solve(*args)
+
+    monkeypatch.setattr(_kernels, "smo_solve", recording_solve)
+    return seen
+
+
+class TestSmoPrefixStore:
+    def test_live_during_search_only(self, train_slices, monkeypatch):
+        seen = record_smo_stores(monkeypatch)
+        grid = HyperGrid(family="svr", axes={"C": (1.0, 10.0), "gamma": (0.11,)})
+        grid_search(train_slices["compressive"], grid, k=5, seed=42)
+        assert len(seen) == 10 and all(store is seen[0] for store in seen)
+        assert isinstance(seen[0], dict) and seen[0]
+        assert _kernels._smo_prefixes is None
+
+    def test_dropped_when_every_combination_fails(self, train_slices):
+        grid = HyperGrid(
+            family="svr",
+            axes={"kernel": ("polynomial",), "degree": (400,), "gamma": (10.0,), "coef0": (1.0,)},
+        )
+        with pytest.raises(RuntimeError, match="every grid combination failed"):
+            grid_search(train_slices["compressive"], grid, k=5, seed=42)
+        assert _kernels._smo_prefixes is None
+
+    def test_dropped_when_scoring_raises(self, train_slices, monkeypatch):
+        # The search records an Exception as a failed combination, so only a
+        # BaseException such as KeyboardInterrupt leaves it while scoring.
+        def interrupted_fit(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(tuning, "fit_model", interrupted_fit)
+        grid = HyperGrid(family="svr", axes={"C": (1.0,)})
+        with pytest.raises(KeyboardInterrupt):
+            grid_search(train_slices["compressive"], grid, k=5, seed=42)
+        assert _kernels._smo_prefixes is None
+
+    def test_fits_outside_a_search_start_cold(self, bundled, train_slices, tmp_path, monkeypatch):
+        seen = record_smo_stores(monkeypatch)
+        refit_best(train_slices["tensile"], "svr", {"C": 39.0, "gamma": 0.11})
+        assert cli.run(["train", "--model", "svr", "--out", str(tmp_path)]) == 0
+        pipeline.reproduce(bundled)
+        assert len(seen) == 1 + 1 + 4
+        assert all(store is None for store in seen)
 
 
 class TestNonFiniteRanking:
