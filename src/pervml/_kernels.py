@@ -1,13 +1,13 @@
 """Hot numeric kernels: exact-greedy split search and the SMO dual solver.
 
-Both are plain scalar loops on Python floats: at the study's sizes (tree
-nodes of a few to 19 rows, 19-row Gram matrices) reading one element of a
-numpy array creates a numpy scalar, which costs more than the arithmetic it
-feeds. The split scan takes lists that `gbrt.fit` builds once per fit: the
-feature columns, each candidate column's rows presorted by value and
-partitioned down to the node, and the gradients, so it neither sorts nor
-converts; its per-candidate denominators depend only on the node's row
-count and reg_lambda, and come from a small cache.
+The split scan is a plain scalar loop on Python floats: at the study's
+sizes (tree nodes of a few to 19 rows) reading one element of a numpy array
+creates a numpy scalar, which costs more than the arithmetic it feeds. It
+takes lists that `gbrt.fit` builds once per fit: the feature columns, each
+candidate column's rows presorted by value and partitioned down to the
+node, and the gradients, so it neither sorts nor converts; its
+per-candidate denominators depend only on the node's row count and
+reg_lambda, and come from a small cache.
 
 The scan prices a candidate's parent term only when the candidate can
 still win. Its gain is 0.5 * (s - p) - gamma, computed in that order, with
@@ -17,16 +17,17 @@ gain is at most the computed 0.5 * s - gamma (or NaN). When that bound is
 <= best_gain, the gain cannot pass the strict `gain > best_gain`, and the
 candidate is skipped; a NaN bound fails the `<=` and is priced as before.
 
-SMO turns its numpy inputs into lists once per call with `.tolist()`, and
-each of its iterations walks the coefficients once: that pass both adds the
-last step to v = K @ beta and selects the next pair. SMO keeps each
-coefficient's set membership as two offsets beside beta, reset only for the
-two coefficients a step moves, so that pass adds an offset to e instead of
-branching on beta. The pass zips its index with its lists, unpacking one
-flat tuple, and stores e + offset only when it beats the best so far.
-Python floats are IEEE doubles like float64, so these loops return, bit for
-bit, what the same loops return on numpy scalars; the tests keep those as
-oracles. These loops are the only implementation.
+SMO runs in C (`_smo.c`), built with `cc` at the first solve and cached in
+this package's `__pycache__` under the hash of its source, its flags and
+the machine. Each iteration walks the coefficients once: that pass both
+adds the last step to v = K @ beta and selects the next pair. SMO keeps
+each coefficient's set membership as two offsets beside beta, reset only
+for the two coefficients a step moves, so that pass adds an offset to e
+instead of branching on beta. C doubles are IEEE doubles like float64, and
+with contraction off (no fused multiply-add) and no fast-math each
+operation rounds once, in the order written, so the loop returns bit for
+bit what the same loop returns on numpy scalars; the tests keep that loop
+as the oracle. The compiled loop is the only implementation.
 
 SMO runs at different C on one problem (K, y, eps, tol, max_iter) share a
 prefix. Call a step box-free when s_opt < s_box and both new coefficients
@@ -52,22 +53,36 @@ returns where it returned.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import os
+import platform
+import shutil
 import struct
-from array import array
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 INF = float("inf")
 
-# Run records note which kernel path ran; these loops are the only one.
+# Kept only because perfbench/run.py records it; nothing in pervml reads it.
 NUMBA_ENABLED = False
 
 # SMO prefixes shared across C, or None: {(K bytes, y bytes): {(eps and tol
-# bytes, max_iter): (C, n_iter, beta + v as doubles)}}, one entry per key,
-# from the largest C so far. tuning.grid_search makes it a dict while it
-# scores its grid and sets it back to None, so every other call is cold.
+# bytes, max_iter): (C, n_iter, beta then v as one float64 array)}}, one
+# entry per key, from the largest C so far. tuning.grid_search makes it a
+# dict while it scores its grid and sets it back to None, so every other
+# call is cold.
 _smo_prefixes = None
+
+# The compiled SMO loop. Contraction off keeps every product rounded on its
+# own; -ffast-math or -march could fuse or reorder and change the bits.
+_SMO_SOURCE = Path(__file__).with_name("_smo.c")
+_SMO_CACHE = Path(__file__).with_name("__pycache__")
+_CC = ("cc", "-std=c99", "-O2", "-pipe", "-fPIC", "-shared", "-ffp-contract=off")
+_INT64_MAX = 2**63 - 1
+_smo = None  # pervml_smo from the loaded library, once the first solve loads it
 
 
 @functools.lru_cache(maxsize=256)
@@ -154,6 +169,56 @@ def best_split_kernel(cols, orders, rows, g, reg_lambda, reg_alpha, gamma):
     return best_gain, best_col, best_thr
 
 
+def _load_smo(cache):
+    """pervml_smo from the library in `cache` that matches this source, these
+    flags and this machine, built first if there is none. A cache that cannot
+    be written is replaced by a private temporary directory."""
+    # Imported here, at the first solve: they add about 9 ms to `import pervml`.
+    import hashlib
+    import subprocess
+
+    source = _SMO_SOURCE.read_bytes()
+    tag = "\0".join((*_CC, platform.machine())).encode()
+    name = f"_smo-{hashlib.sha256(source + tag).hexdigest()[:16]}.so"
+    path = os.path.join(cache, name)
+    private = None
+    if not os.path.exists(path):
+        try:
+            os.makedirs(cache, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=cache)
+        except OSError:
+            private = tempfile.mkdtemp(prefix="pervml-")
+            path = os.path.join(private, name)
+            fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=private)
+        os.close(fd)
+        command = [*_CC, "-o", tmp, str(_SMO_SOURCE)]
+        try:
+            try:
+                done = subprocess.run(command, capture_output=True, text=True)
+                failure = done.returncode and f"exited {done.returncode}: {done.stderr.strip()}"
+            except OSError as exc:
+                failure = f"failed: {exc}"
+            if failure:
+                raise RuntimeError(
+                    f"svr needs a C compiler to build its solver: `{' '.join(command)}` {failure}"
+                )
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    try:
+        smo = ctypes.CDLL(path).pervml_smo
+    finally:
+        if private is not None:
+            # A loaded library stays mapped after its file is removed.
+            shutil.rmtree(private, ignore_errors=True)
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    p64 = ctypes.POINTER(i64)
+    smo.argtypes = (i64, ptr, ptr, f64, f64, f64, i64, ptr, p64, ptr, ptr, p64)
+    smo.restype = ctypes.c_int
+    return smo
+
+
 def smo_solve(K, y, C, eps, tol, max_iter):
     """Pairwise coordinate ascent on the epsilon-insensitive dual.
 
@@ -161,15 +226,20 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     sum(beta) = 0. Each iteration picks the maximal violating pair, then
     maximizes the dual exactly along the feasible direction (the objective
     is piecewise quadratic with kinks where a coefficient crosses zero).
-    K and y are float64 arrays; C, eps and tol are floats, C > 0 (SvrParams
-    checks it). K and y must be finite, which svr.fit guarantees by raising
-    otherwise; an inf or nan entry leaves the dual undefined.
+    K is (n, n) and y has n entries, both taken as C-ordered float64 (a
+    mismatch raises ValueError); C, eps and tol are floats, C > 0 (SvrParams
+    checks it). max_iter is clamped to [0, 2**63 - 1]. K and y must be
+    finite, which svr.fit guarantees by raising otherwise; an inf or nan
+    entry leaves the dual undefined. The loop runs in C (`_smo.c`); the
+    first call builds or loads it and raises RuntimeError, naming the
+    command, when no C compiler can build it.
 
     Each iteration walks the coefficients once. That pass adds the last
     step to v = K @ beta, as `v[t] + (K[t, i]*d_i + K[t, j]*d_j)`, and picks
     the next pair from e = y - v, the first index winning a tie. The first
     pass adds a zero step read from beta itself, not from K, so an empty
-    problem reads no column.
+    problem reads no column. K is read by column, since a Gram matrix from
+    BLAS need not be exactly symmetric.
 
     The pass does not branch on beta: it reads each coefficient's offsets
     up[t] and low[t] and tests s = e + up[t] and s = e + low[t], computing
@@ -193,6 +263,12 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     array; max_up / min_low bracket the feasible bias interval at
     termination; their gap is the stopping measure compared against tol.
     """
+    global _smo
+    K = np.ascontiguousarray(K, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    n = y.shape[0] if y.ndim == 1 else -1
+    if K.shape != (n, n):
+        raise ValueError(f"K must be (n, n) for y of n entries; got K {K.shape}, y {y.shape}")
     store = _smo_prefixes
     prefixes = prefix = None
     if store is not None:
@@ -201,117 +277,24 @@ def smo_solve(K, y, C, eps, tol, max_iter):
         prefix = prefixes.get(key)
     # Only a run at a larger C than the stored prefix's can lengthen it.
     sharing = prefixes is not None and (prefix is None or C > prefix[0])
-    # cols[j][t] is K[t, j]. The update of v reads columns of K, and a Gram
-    # matrix from BLAS need not be exactly symmetric, so rows would not do.
-    cols = K.T.tolist()
-    y = y.tolist()
-    n = len(y)
     if prefix is not None and C >= prefix[0]:
-        _, it, state = prefix
-        state = state.tolist()
-        beta = state[:n]
-        v = state[n:]  # K @ beta, maintained incrementally
+        n_iter = ctypes.c_int64(prefix[1])
+        state = prefix[2].copy()
     else:
-        it = 0
-        beta = [0.0] * n
-        v = [0.0] * n
-    neg_C = -C
-    two_eps = 2.0 * eps
-    # Every coefficient of a start is strictly inside the box.
-    up = [-eps if b >= 0.0 else eps for b in beta]
-    low = [-eps if b > 0.0 else eps for b in beta]
-    col_i = col_j = beta  # the first move is zero along beta
-    d_i = d_j = 0.0
-    while True:
-        # Add the last move to v; pick the maximal violating pair, i up, j down.
-        i = -1
-        up_best = -INF
-        j = -1
-        low_best = INF
-        for t, yt, vt, ut, lt, a, b in zip(range(n), y, v, up, low, col_i, col_j):
-            v[t] = vt = vt + (a * d_i + b * d_j)
-            e = yt - vt
-            if e + ut > up_best:
-                up_best = e + ut
-                i = t
-            if e + lt < low_best:
-                low_best = e + lt
-                j = t
-        if i < 0 or j < 0 or up_best - low_best <= tol or it >= max_iter:
-            break
-        it += 1
-
-        bi = beta[i]
-        bj = beta[j]
-        col_i = cols[i]
-        col_j = cols[j]
-        # Direction beta[i] += s, beta[j] -= s preserves sum(beta).
-        rho = col_i[i] + col_j[j] - 2.0 * col_j[i]
-        deriv = up_best - low_best
-        s_box = C - bi
-        if bj + C < s_box:
-            s_box = bj + C
-        # Kinks where a coefficient crosses zero drop the derivative by
-        # 2*eps each; at most two of them inside (0, s_box).
-        k1 = -bi if bi < 0.0 else INF
-        k2 = bj if bj > 0.0 else INF
-        if k2 < k1:
-            k1, k2 = k2, k1
-
-        s_opt = s_box
-        s_prev = 0.0
-        for seg_end in (k1, k2, s_box):
-            if seg_end > s_box:
-                seg_end = s_box
-            seg_len = seg_end - s_prev
-            if seg_len > 0.0:
-                if rho > 0.0:
-                    q = deriv / rho
-                    if q <= seg_len:
-                        s_opt = s_prev + q
-                        break
-                deriv -= rho * seg_len
-                s_prev = seg_end
-            if seg_end == s_box:
-                s_opt = s_box
-                break
-            deriv -= two_eps
-            if deriv <= 0.0:
-                s_opt = seg_end
-                break
-
-        # Land exactly on box / zero boundaries hit by s_opt.
-        if s_opt == C - bi:
-            bi_new = C
-        elif s_opt == -bi:
-            bi_new = 0.0
-        else:
-            bi_new = bi + s_opt
-        if s_opt == bj + C:
-            bj_new = neg_C
-        elif s_opt == bj:
-            bj_new = 0.0
-        else:
-            bj_new = bj - s_opt
-        # The first step that is not box-free ends the prefix that every
-        # larger C shares: store the state this step starts from.
-        if sharing and not (
-            s_opt < s_box and neg_C < bi_new < C and neg_C < bj_new < C
-        ):
-            prefixes[key] = (C, it - 1, array("d", beta + v))
-            sharing = False
-
-        beta[i] = bi_new
-        beta[j] = bj_new
-        d_i = bi_new - bi
-        d_j = bj_new - bj
-        # Only beta[i] and beta[j] moved, so only their offsets change.
-        up[i] = (-eps if bi_new >= 0.0 else eps) if bi_new < C else -INF
-        low[i] = (-eps if bi_new > 0.0 else eps) if bi_new > neg_C else INF
-        up[j] = (-eps if bj_new >= 0.0 else eps) if bj_new < C else -INF
-        low[j] = (-eps if bj_new > 0.0 else eps) if bj_new > neg_C else INF
-
+        n_iter = ctypes.c_int64(0)
+        state = np.zeros(2 * n)
+    snap = np.empty(2 * n) if sharing else None
+    snap_iter = ctypes.c_int64()
+    bounds = (ctypes.c_double * 2)()
+    if _smo is None:
+        _smo = _load_smo(_SMO_CACHE)
+    flags = _smo(
+        n, K.ctypes.data, y.ctypes.data, C, eps, tol, min(max(max_iter, 0), _INT64_MAX),
+        state.ctypes.data, ctypes.byref(n_iter), bounds,
+        None if snap is None else snap.ctypes.data, ctypes.byref(snap_iter),
+    )
+    if flags < 0:
+        raise MemoryError("SMO could not allocate its offsets")
     if sharing:
-        prefixes[key] = (C, it, array("d", beta + v))
-    converged = i < 0 or j < 0 or up_best - low_best <= tol
-    return np.array(beta, dtype=float), up_best, low_best, it, converged
+        prefixes[key] = (C, snap_iter.value, snap) if flags & 2 else (C, n_iter.value, state)
+    return state[:n].copy(), bounds[0], bounds[1], n_iter.value, bool(flags & 1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pervml import _kernels
 from pervml.data import TARGET_COLUMNS, fit_scaler, load_bundled, reference_split, split
 from pervml.pipeline import reproduce
 from pervml.tuning import target_slice
@@ -45,3 +46,20 @@ def repro_report(bundled):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def cold_smo_cache(monkeypatch, tmp_path):
+    """An empty cache directory that the next SMO solve builds its library into."""
+    cache = tmp_path / "smo-cache"
+    monkeypatch.setattr(_kernels, "_SMO_CACHE", cache)
+    monkeypatch.setattr(_kernels, "_smo", None)
+    return cache
+
+
+@pytest.fixture()
+def no_compiler(monkeypatch, tmp_path):
+    """A PATH on which no `cc` can be found."""
+    empty = tmp_path / "empty-path"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))

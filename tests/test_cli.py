@@ -166,6 +166,16 @@ class TestTrain:
         assert "Traceback" not in err
         assert not (out / "model_svr_compressive.json").exists()
 
+    def test_svr_without_a_compiler_exits_2(self, tmp_path, capsys, cold_smo_cache, no_compiler):
+        out = tmp_path / "out"
+        assert run_cli("train", "--model", "svr", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "pervml train: error: svr needs a C compiler" in err
+        assert "`cc -std=c99 " in err
+        assert "Traceback" not in err
+        assert run_cli("train", "--model", "gbrt", "--out", str(out)) == 0
+        assert (out / "model_gbrt_compressive.json").exists()
+
 
 class TestSplitErrors:
     @pytest.mark.parametrize(
@@ -460,6 +470,18 @@ class TestTune:
         stdout = capsys.readouterr().out
         assert "fold seed 42" in stdout
 
+
+    @pytest.mark.filterwarnings("ignore::pervml.svr.SvrConvergenceWarning")
+    def test_default_svr_grid(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("tune", "--model", "svr", "--out", str(out)) == 0
+        header, *rows = read_csv(out / "cv_results_svr_compressive.csv")
+        assert len(rows) == 2520
+        mean, rank = header.index("mean_mse"), header.index("rank")
+        assert sorted(int(row[rank]) for row in rows) == list(range(1, 2521))
+        best = next(row for row in rows if row[rank] == "1")
+        assert float(best[mean]) == min(float(row[mean]) for row in rows)
+        assert "searching 2520 combination(s)" in capsys.readouterr().out
 
     # Degree 2 hits the SMO cap at max_passes 50.
     @pytest.mark.filterwarnings("ignore::pervml.svr.SvrConvergenceWarning")

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import tempfile
 
 import numpy as np
 import pytest
@@ -460,6 +462,98 @@ class TestSmoMatchesOracle:
         assert beta.shape == (0,)
         assert (max_up, min_low, n_iter, converged) == (-np.inf, np.inf, 0, True)
         assert smo_bits(smo_solve(*problem)) == smo_bits(smo_oracle(*problem))
+
+
+ASYMMETRIC_PROBLEM = (  # K[1, 0] is an ulp above K[0, 1]: reading K[j, i] for K[i, j] shows
+    np.array([[1.0, 0.5], [np.nextafter(0.5, 1.0), 2.0]]), np.array([1.0, -1.0]),
+    10.0, 0.0, 1e-3, 100,
+)
+
+
+class TestSmoInputs:
+    @pytest.mark.parametrize(
+        "K, y",
+        [(np.eye(2), np.zeros(3)), (np.eye(3)[:2], np.zeros(3)), (np.eye(2), np.zeros((2, 1)))],
+        ids=["2x2_for_3", "2x3", "column_y"],
+    )
+    def test_mismatched_shapes_raise(self, K, y):
+        with pytest.raises(ValueError, match=r"K must be \(n, n\)"):
+            smo_solve(K, y, 1.0, 0.1, 1e-3, 100)
+
+    @pytest.mark.parametrize(
+        "convert",
+        [np.asfortranarray, lambda a: a.astype(np.float32), lambda a: np.repeat(a, 2, axis=-1)[..., ::2]],
+        ids=["fortran", "float32", "strided"],
+    )
+    @pytest.mark.parametrize("problem", [ASYMMETRIC_PROBLEM, compressive_fold_problem()], ids=["ulp", "fold"])
+    def test_any_layout_gives_the_oracle_bits(self, problem, convert):
+        K, y, *rest = problem
+        K, y = convert(K), convert(y)
+        oracle = smo_oracle(np.array(K, dtype=np.float64), np.array(y, dtype=np.float64), *rest)
+        assert smo_bits(smo_solve(K, y, *rest)) == smo_bits(oracle)
+
+    def test_huge_max_iter_is_not_wrapped(self):
+        # 2**64 + 5 wraps to 5 in a 64-bit integer; this problem needs 32,475 steps.
+        K, y, C, eps, tol, _ = compressive_fold_problem()
+        huge = smo_solve(K, y, C, eps, tol, 2**64 + 5)
+        assert smo_bits(huge) == smo_bits(smo_solve(K, y, C, eps, tol, 10**6))
+        assert huge[3] == 32_475 and huge[4]
+
+
+def count_compiles(monkeypatch):
+    """The commands subprocess.run is asked to run from here on."""
+    commands = []
+    run = subprocess.run
+
+    def counting_run(command, *args, **kwargs):
+        commands.append(command)
+        return run(command, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    return commands
+
+
+class TestSmoLibrary:
+    problem = (np.eye(3), np.array([-0.2, 0.9, 0.1]), 1.0, 0.0, 1e-3, 100)
+
+    def test_cold_cache_builds_once(self, cold_smo_cache, monkeypatch):
+        commands = count_compiles(monkeypatch)
+        assert smo_bits(smo_solve(*self.problem)) == smo_bits(smo_oracle(*self.problem))
+        assert [c[0] for c in commands] == ["cc"]
+        assert [p.suffix for p in cold_smo_cache.iterdir()] == [".so"]  # no temporary left
+        monkeypatch.setattr(_kernels, "_smo", None)
+        assert smo_bits(smo_solve(*self.problem)) == smo_bits(smo_oracle(*self.problem))
+        assert len(commands) == 1
+
+    def test_changed_source_is_rebuilt(self, cold_smo_cache, monkeypatch, tmp_path):
+        commands = count_compiles(monkeypatch)
+        expected = smo_oracle(*self.problem)
+        smo_solve(*self.problem)
+        changed = tmp_path / "_smo.c"
+        source = _kernels._SMO_SOURCE.read_text()
+        assert source.count("it += 1;") == 1
+        changed.write_text(source.replace("it += 1;", "it += 2;"))
+        monkeypatch.setattr(_kernels, "_SMO_SOURCE", changed)
+        monkeypatch.setattr(_kernels, "_smo", None)
+        assert smo_solve(*self.problem)[3] == 2 * expected[3] > 0
+        assert len(commands) == 2
+        assert len(list(cold_smo_cache.glob("_smo-*.so"))) == 2
+
+    def test_unwritable_cache_still_solves(self, monkeypatch, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")  # a file, so no directory can be made under it
+        private = tmp_path / "tmp"
+        private.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(private))
+        monkeypatch.setattr(_kernels, "_SMO_CACHE", blocker / "__pycache__")
+        monkeypatch.setattr(_kernels, "_smo", None)
+        assert smo_bits(smo_solve(*self.problem)) == smo_bits(smo_oracle(*self.problem))
+        assert list(private.iterdir()) == []  # the private build is removed once loaded
+
+    def test_missing_compiler_names_cc(self, no_compiler, cold_smo_cache):
+        with pytest.raises(RuntimeError, match="svr needs a C compiler.*`cc -std=c99 "):
+            smo_solve(*self.problem)
+        assert list(cold_smo_cache.iterdir()) == []
 
 
 def fit_reference_setting(train_slices, target):
