@@ -1,33 +1,25 @@
-"""Hot numeric kernels: exact-greedy split search and the SMO dual solver.
+"""The compiled kernels: the gbrt boosting rounds and the SMO dual solver.
 
-The split scan is a plain scalar loop on Python floats: at the study's
-sizes (tree nodes of a few to 19 rows) reading one element of a numpy array
-creates a numpy scalar, which costs more than the arithmetic it feeds. It
-takes lists that `gbrt.fit` builds once per fit: the feature columns, each
-candidate column's rows presorted by value and partitioned down to the
-node, and the gradients, so it neither sorts nor converts; its
-per-candidate denominators depend only on the node's row count and
-reg_lambda, and come from a small cache.
+Both loops are C (`_gbrt.c`, `_smo.c`), built into one library with `cc`
+at the first call that needs it and cached in this package's `__pycache__`
+under the hash of the sources, the flags and the machine. Without a C
+compiler the first call raises RuntimeError naming the command, and every
+later call in the process raises it again without running `cc`. C doubles
+are IEEE doubles like float64, and with contraction off (no fused
+multiply-add) and no fast-math each operation rounds once, in the order
+written, so each loop returns bit for bit what the same loop returns on
+Python floats or numpy scalars; the tests keep those loops as the oracles.
+The compiled loops are the only implementation.
 
-The scan prices a candidate's parent term only when the candidate can
-still win. Its gain is 0.5 * (s - p) - gamma, computed in that order, with
-s the sum of the two side terms and p >= 0 the parent term. IEEE rounding
-is monotone, so the computed s - p is at most s (or NaN) and the computed
-gain is at most the computed 0.5 * s - gamma (or NaN). When that bound is
-<= best_gain, the gain cannot pass the strict `gain > best_gain`, and the
-candidate is skipped; a NaN bound fails the `<=` and is priced as before.
+`gbrt.fit` makes one call per fit, which runs every boosting round;
+`best_split_kernel` and `gbrt.build_tree` enter the same scan and grower
+for one node or one tree.
 
-SMO runs in C (`_smo.c`), built with `cc` at the first solve and cached in
-this package's `__pycache__` under the hash of its source, its flags and
-the machine. Each iteration walks the coefficients once: that pass both
-adds the last step to v = K @ beta and selects the next pair. SMO keeps
-each coefficient's set membership as two offsets beside beta, reset only
-for the two coefficients a step moves, so that pass adds an offset to e
-instead of branching on beta. C doubles are IEEE doubles like float64, and
-with contraction off (no fused multiply-add) and no fast-math each
-operation rounds once, in the order written, so the loop returns bit for
-bit what the same loop returns on numpy scalars; the tests keep that loop
-as the oracle. The compiled loop is the only implementation.
+SMO's pass walks the coefficients once per iteration: that pass both adds
+the last step to v = K @ beta and selects the next pair. SMO keeps each
+coefficient's set membership as two offsets beside beta, reset only for
+the two coefficients a step moves, so that pass adds an offset to e
+instead of branching on beta.
 
 SMO runs at different C on one problem (K, y, eps, tol, max_iter) share a
 prefix. Call a step box-free when s_opt < s_box and both new coefficients
@@ -54,7 +46,6 @@ returns where it returned.
 from __future__ import annotations
 
 import ctypes
-import functools
 import os
 import platform
 import shutil
@@ -63,8 +54,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-
-INF = float("inf")
 
 # Kept only because perfbench/run.py records it; nothing in pervml reads it.
 NUMBA_ENABLED = False
@@ -76,110 +65,42 @@ NUMBA_ENABLED = False
 # call is cold.
 _smo_prefixes = None
 
-# The compiled SMO loop. Contraction off keeps every product rounded on its
+# The compiled loops. Contraction off keeps every product rounded on its
 # own; -ffast-math or -march could fuse or reorder and change the bits.
-_SMO_SOURCE = Path(__file__).with_name("_smo.c")
-_SMO_CACHE = Path(__file__).with_name("__pycache__")
+_SOURCES = (Path(__file__).with_name("_smo.c"), Path(__file__).with_name("_gbrt.c"))
+_CACHE = Path(__file__).with_name("__pycache__")
 _CC = ("cc", "-std=c99", "-O2", "-pipe", "-fPIC", "-shared", "-ffp-contract=off")
-_INT64_MAX = 2**63 - 1
-_smo = None  # pervml_smo from the loaded library, once the first solve loads it
+INT64_MAX = 2**63 - 1
+_lib = None  # the loaded library, once the first call that needs it loads it
+_build_error = None  # the RuntimeError of a failed build, raised again by every later call
 
 
-@functools.lru_cache(maxsize=256)
-def _side_denominators(total_h, reg_lambda):
-    """The split scan's side denominators: hl + reg_lambda and
-    total_h - hl + reg_lambda for hl = 1.0, 2.0, ... below total_h, as two
-    tuples. They depend only on the node's row count and reg_lambda, so
-    split searches share them. reg_lambda's sign of zero, which the cache
-    does not tell apart, changes no entry: hl and total_h - hl are >= 1."""
-    den_l = []
-    den_r = []
-    hl = 1.0
-    while hl < total_h:
-        den_l.append(hl + reg_lambda)
-        den_r.append(total_h - hl + reg_lambda)
-        hl += 1.0
-    return tuple(den_l), tuple(den_r)
+def library():
+    """The compiled kernels, built or loaded at the first call. A failed build
+    is remembered, so later calls raise the same RuntimeError at once."""
+    global _lib, _build_error
+    if _lib is None:
+        if _build_error is not None:
+            raise _build_error
+        try:
+            _lib = _load(_CACHE)
+        except RuntimeError as exc:
+            _build_error = exc
+            raise
+    return _lib
 
 
-def best_split_kernel(cols, orders, rows, g, reg_lambda, reg_alpha, gamma):
-    """Scan every (column, midpoint) candidate of one node and return the best split.
-
-    cols: candidate feature columns, each a list of values for every row
-    of the fit. orders[j]: the node's rows in ascending order of cols[j]
-    (stable, so equal values, 0.0 and -0.0 among them, keep row order).
-    rows: the node's rows in ascending order. g: every row's gradient.
-    Under squared error every hessian is 1, so a side's hessian sum in the
-    second-order gain is its row count.
-    Returns (gain, column index into cols, threshold); column is -1 when no
-    candidate exists (all columns constant). The threshold is the midpoint
-    of the two neighbouring values v < v_next, or v where the midpoint is
-    not in [v, v_next), so a split never leaves a side empty. Ties keep the
-    first candidate in (column, ascending threshold) order, so callers must
-    pass columns in ascending original-feature order.
-    """
-    total_g = 0.0
-    for r in rows:
-        total_g += g[r]
-    total_h = float(len(rows))
-    # hl and hr are whole numbers, so hl + hr is exactly total_h at every
-    # candidate and the parent's denominator is one number. The candidate
-    # after the i-th row of any column has hl = i rows on its left, so the
-    # sides' denominators are the same for every column, and for every node
-    # with as many rows.
-    parent_den = total_h + reg_lambda
-    den_l, den_r = _side_denominators(total_h, reg_lambda)
-
-    best_gain = -INF
-    best_col = -1
-    best_thr = 0.0
-    for j, (col, order) in enumerate(zip(cols, orders)):
-        xs = [col[k] for k in order]
-        gl = 0.0
-        for k, v, v_next, dl, dr in zip(order, xs, xs[1:], den_l, den_r):
-            gl += g[k]
-            if v == v_next:
-                continue
-            gr = total_g - gl
-            # `x if x >= 0.0 else -x` is abs(x) up to the sign of a zero,
-            # which squaring drops, and `0.0 if t < 0.0 else t` is
-            # max(t, 0.0); neither pays for a builtin call.
-            tl = (gl if gl >= 0.0 else -gl) - reg_alpha
-            tl = 0.0 if tl < 0.0 else tl
-            tr = (gr if gr >= 0.0 else -gr) - reg_alpha
-            tr = 0.0 if tr < 0.0 else tr
-            s = tl * tl / dl + tr * tr / dr
-            # The parent term only lowers the gain (module docstring), so a
-            # candidate whose bound cannot beat best_gain is not priced.
-            if 0.5 * s - gamma <= best_gain:
-                continue
-            tp = gl + gr
-            tp = (tp if tp >= 0.0 else -tp) - reg_alpha
-            tp = 0.0 if tp < 0.0 else tp
-            gain = 0.5 * (s - tp * tp / parent_den) - gamma
-            if gain > best_gain:
-                best_gain = gain
-                best_col = j
-                best_thr = (v + v_next) * 0.5
-                # The midpoint of neighbouring subnormals can round up to
-                # v_next, and near the largest float it overflows; then
-                # only v itself still sends v left and v_next right.
-                if not v <= best_thr < v_next:
-                    best_thr = v
-    return best_gain, best_col, best_thr
-
-
-def _load_smo(cache):
-    """pervml_smo from the library in `cache` that matches this source, these
-    flags and this machine, built first if there is none. A cache that cannot
-    be written is replaced by a private temporary directory."""
-    # Imported here, at the first solve: they add about 9 ms to `import pervml`.
+def _load(cache):
+    """The library in `cache` that matches these sources, these flags and this
+    machine, built first if there is none. A cache that cannot be written is
+    replaced by a private temporary directory."""
+    # Imported here, at the first load: they add about 9 ms to `import pervml`.
     import hashlib
     import subprocess
 
-    source = _SMO_SOURCE.read_bytes()
+    source = b"".join(path.read_bytes() for path in _SOURCES)
     tag = "\0".join((*_CC, platform.machine())).encode()
-    name = f"_smo-{hashlib.sha256(source + tag).hexdigest()[:16]}.so"
+    name = f"_kernels-{hashlib.sha256(source + tag).hexdigest()[:16]}.so"
     path = os.path.join(cache, name)
     private = None
     if not os.path.exists(path):
@@ -191,7 +112,7 @@ def _load_smo(cache):
             path = os.path.join(private, name)
             fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=private)
         os.close(fd)
-        command = [*_CC, "-o", tmp, str(_SMO_SOURCE)]
+        command = [*_CC, "-o", tmp, *map(str, _SOURCES)]
         try:
             try:
                 done = subprocess.run(command, capture_output=True, text=True)
@@ -200,23 +121,74 @@ def _load_smo(cache):
                 failure = f"failed: {exc}"
             if failure:
                 raise RuntimeError(
-                    f"svr needs a C compiler to build its solver: `{' '.join(command)}` {failure}"
+                    f"pervml needs a C compiler to build its kernels: `{' '.join(command)}` {failure}"
                 )
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
     try:
-        smo = ctypes.CDLL(path).pervml_smo
+        lib = ctypes.CDLL(path)
     finally:
         if private is not None:
             # A loaded library stays mapped after its file is removed.
             shutil.rmtree(private, ignore_errors=True)
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     p64 = ctypes.POINTER(i64)
-    smo.argtypes = (i64, ptr, ptr, f64, f64, f64, i64, ptr, p64, ptr, ptr, p64)
-    smo.restype = ctypes.c_int
-    return smo
+    lib.pervml_smo.argtypes = (i64, ptr, ptr, f64, f64, f64, i64, ptr, p64, ptr, ptr, p64)
+    lib.pervml_smo.restype = ctypes.c_int
+    lib.pervml_gbrt_best_split.argtypes = (i64, ptr, i64, ptr, ptr, i64, ptr, ptr, f64, f64, f64, ptr)
+    lib.pervml_gbrt_grow.argtypes = (
+        i64, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, ptr, i64, f64, f64, f64, i64, ptr, ptr, ptr,
+    )
+    lib.pervml_gbrt_fit.argtypes = (
+        i64, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, i64, ptr,
+        i64, f64, f64, f64, f64, f64, i64, ptr, ptr, ptr, ptr,
+    )
+    for fn in (lib.pervml_gbrt_best_split, lib.pervml_gbrt_grow, lib.pervml_gbrt_fit):
+        fn.restype = i64
+    return lib
+
+
+def indices(a, n, what) -> np.ndarray:
+    """a as a C-ordered int64 array of numbers in [0, n); the compiled loops
+    index by them, so any other value raises ValueError."""
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    if a.size and not (a.min() >= 0 and a.max() < n):
+        raise ValueError(f"{what} must lie in [0, {n})")
+    return a
+
+
+def best_split_kernel(cols, orders, rows, g, reg_lambda, reg_alpha, gamma):
+    """Scan every (column, midpoint) candidate of one node and return the best split.
+
+    cols: candidate feature columns, each holding a value for every row
+    of the fit. orders[j]: the node's rows in ascending order of cols[j]
+    (stable, so equal values, 0.0 and -0.0 among them, keep row order).
+    rows: the node's rows in ascending order. g: every row's gradient.
+    Under squared error every hessian is 1, so a side's hessian sum in the
+    second-order gain is its row count.
+    Returns (gain, column index into cols, threshold); column is -1 when no
+    candidate exists (all columns constant). The threshold is the midpoint
+    of the two neighbouring values v < v_next, or v where the midpoint is
+    not in [v, v_next), so a split never leaves a side empty. Ties keep the
+    first candidate in (column, ascending threshold) order, so callers must
+    pass columns in ascending original-feature order.
+
+    This is the scan `gbrt.fit` runs at every node, in C (`_gbrt.c`).
+    """
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    rows = indices(rows, len(g), "rows")
+    # Reshaped, since an empty list of columns has no shape to take.
+    cols = np.ascontiguousarray(cols, dtype=np.float64).reshape(len(cols), len(g))
+    orders = indices(orders, len(g), "orders").reshape(len(cols), len(rows))
+    columns = np.arange(len(cols), dtype=np.int64)
+    best = (ctypes.c_double * 2)()
+    col = library().pervml_gbrt_best_split(
+        len(g), cols.ctypes.data, len(cols), columns.ctypes.data, orders.ctypes.data,
+        len(rows), rows.ctypes.data, g.ctypes.data, reg_lambda, reg_alpha, gamma, best,
+    )
+    return best[0], col, best[1]
 
 
 def smo_solve(K, y, C, eps, tol, max_iter):
@@ -231,8 +203,7 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     checks it). max_iter is clamped to [0, 2**63 - 1]. K and y must be
     finite, which svr.fit guarantees by raising otherwise; an inf or nan
     entry leaves the dual undefined. The loop runs in C (`_smo.c`); the
-    first call builds or loads it and raises RuntimeError, naming the
-    command, when no C compiler can build it.
+    first call builds or loads the library (module docstring).
 
     Each iteration walks the coefficients once. That pass adds the last
     step to v = K @ beta, as `v[t] + (K[t, i]*d_i + K[t, j]*d_j)`, and picks
@@ -263,7 +234,6 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     array; max_up / min_low bracket the feasible bias interval at
     termination; their gap is the stopping measure compared against tol.
     """
-    global _smo
     K = np.ascontiguousarray(K, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     n = y.shape[0] if y.ndim == 1 else -1
@@ -286,10 +256,8 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     snap = np.empty(2 * n) if sharing else None
     snap_iter = ctypes.c_int64()
     bounds = (ctypes.c_double * 2)()
-    if _smo is None:
-        _smo = _load_smo(_SMO_CACHE)
-    flags = _smo(
-        n, K.ctypes.data, y.ctypes.data, C, eps, tol, min(max(max_iter, 0), _INT64_MAX),
+    flags = library().pervml_smo(
+        n, K.ctypes.data, y.ctypes.data, C, eps, tol, min(max(max_iter, 0), INT64_MAX),
         state.ctypes.data, ctypes.byref(n_iter), bounds,
         None if snap is None else snap.ctypes.data, ctypes.byref(snap_iter),
     )

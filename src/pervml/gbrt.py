@@ -24,19 +24,22 @@ rule of both model families.
 
 A fit's features never change, so `fit` sorts each column once with a
 stable sort (`presort`): XGBoost's pre-sorted column block (Chen & Guestrin,
-KDD 2016, section 4.1) at this size. Growth then works on Python lists: a
-node holds its rows in ascending order and, for each candidate column, the
-same rows in that column's order; a split partitions all of them with the
-threshold test, which keeps every list in order. No node sorts, slices an
-array or calls numpy, and the split scan reads the orders directly. A stable
-order restricted to a node's rows is the stable sort of those rows, so the
-trees are those a per-node sort gives, bit for bit; a leaf sums its
-gradients as numpy's pairwise sum would (`_pairwise_sum`). The rows that
-subsampling left out ride along: each split partitions them with the same
-threshold test `predict_tree` applies, so they end in the leaf a walk of
-the new tree would reach (XGBoost's prediction cache, updated from the row
-partition of growth). Every row takes its prediction update from its leaf,
-and `fit` walks no tree.
+KDD 2016, section 4.1) at this size. Every boosting round then runs in C
+(`_gbrt.c`), in one call per fit, on integer row lists: a node holds its
+rows in ascending order and, for each candidate column, the same rows in
+that column's order; a split partitions all of them stably with the
+threshold test, which keeps every list in order. No node sorts, and the
+split scan reads the orders directly. A stable order restricted to a
+node's rows is the stable sort of those rows, so the trees are those a
+per-node sort gives, bit for bit; a leaf sums its gradients as numpy's
+pairwise sum would. The rows that subsampling left out ride along: each
+split partitions them with the same threshold test `predict_tree`
+applies, so they end in the leaf a walk of the new tree would reach
+(XGBoost's prediction cache, updated from the row partition of growth).
+Every row takes its prediction update from its leaf, and `fit` walks no
+tree. Python keeps the input check, the presort, the draws and the `Tree`
+lists built from the node tables the call returns. `build_tree` grows one
+tree with the same C grower.
 
 While the training predictions keep their bits, so do the gradients, so a
 tree is a pure function of its round's draw of rows and columns. `fit`
@@ -53,17 +56,16 @@ A fit's random draws read neither the data nor the gradients: round k's
 sampled rows and columns are the k-th draws of `default_rng(seed)`, so they
 are a pure function of (seed, n, d, subsample, colsample_bytree) and the
 number of rounds. `_sample_schedule` makes them all at once and keeps the
-last few schedules, as tuples no fit can change. Grid search fits many
-settings and folds with the same seed, rates and row count, and they share
-one schedule instead of each drawing its own; the trees are the same bit
-for bit.
+last few schedules, as read-only arrays no fit can change. Grid search
+fits many settings and folds with the same seed, rates and row count, and
+they share one schedule instead of each drawing its own; the trees are the
+same bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -173,132 +175,90 @@ class TreeEnsemble:
             yield out
 
 
-def _soft_threshold(value: float, alpha: float) -> float:
-    return math.copysign(max(abs(value) - alpha, 0.0), value)
+def presort(X) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of X as the rows of a C-ordered float64 array, and for each
+    column every row number in ascending order of its value. The sort is
+    stable, so tied values (0.0 and -0.0 among them) keep ascending row order."""
+    cols = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    return cols, np.argsort(cols, axis=1, kind="stable").astype(np.int64, copy=False)
 
 
-def leaf_weight(grad_sum: float, count: float, params: GbrtParams) -> float:
-    """Optimal leaf value under the L1/L2-regularized second-order objective."""
-    return -_soft_threshold(grad_sum, params.reg_alpha) / (count + params.reg_lambda)
+def _trees(links, nodes, spans) -> list[Tree]:
+    """Trees from node tables: links holds feature and right, nodes threshold,
+    gain, cover and value, and each span is one tree's [start, stop) in them."""
+    feature, right = links.tolist()
+    threshold, gain, cover, value = nodes.tolist()
+    return [
+        Tree(feature[a:b], threshold[a:b], gain[a:b], cover[a:b], value[a:b], right[a:b])
+        for a, b in spans
+    ]
 
 
-def presort(X) -> tuple[list[list[float]], list[list[int]]]:
-    """The columns of X as lists, and for each column every row number in
-    ascending order of its value. The sort is stable, so tied values (0.0
-    and -0.0 among them) keep ascending row order."""
-    cols = np.asarray(X, dtype=float).T.tolist()
-    return cols, [sorted(range(len(col)), key=col.__getitem__) for col in cols]
-
-
-def _pairwise_sum(values: list) -> float:
-    """`float(np.sum(values))` for float64 values, bit for bit, on Python floats.
-
-    numpy sums fewer than 8 values left to right from 0.0; up to 128 values
-    with 8 interleaved accumulators combined pairwise, then the remainder
-    left to right; longer runs by splitting them at a multiple of 8 near
-    the middle. The reduction adds the result to 0.0, so a sum of only
-    -0.0 values is 0.0.
-    """
-    return 0.0 + _pairwise_block(values, 0, len(values))
-
-
-def _pairwise_block(v: list, lo: int, n: int) -> float:
-    if n < 8:
-        total = 0.0
-        for i in range(lo, lo + n):
-            total += v[i]
-        return total
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return _pairwise_block(v, lo, half) + _pairwise_block(v, lo + half, n - half)
-    r0, r1, r2, r3, r4, r5, r6, r7 = v[lo : lo + 8]
-    end = lo + n - n % 8
-    for i in range(lo + 8, end, 8):
-        r0 += v[i]
-        r1 += v[i + 1]
-        r2 += v[i + 2]
-        r3 += v[i + 3]
-        r4 += v[i + 4]
-        r5 += v[i + 5]
-        r6 += v[i + 6]
-        r7 += v[i + 7]
-    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for i in range(end, lo + n):
-        total += v[i]
-    return total
+def _nodes_written(size: int) -> int:
+    """The node count a compiled grower returned, or the error it stands for."""
+    if size == -2:
+        raise MemoryError("gbrt could not allocate its work space")
+    if size < 0:
+        raise RuntimeError("gbrt grew more nodes than its node table holds")
+    return size
 
 
 def build_tree(cols, orders, rows, g, params: GbrtParams, columns=None, left_out=()):
-    """Grow one tree by exact greedy search, depth first from an explicit stack.
+    """Grow one tree by exact greedy search, depth first, as `fit` grows each.
 
     cols and orders are `presort` of the fit's features; rows are the rows
     the tree is grown on, in ascending order; g holds every row's gradient.
     columns are the candidate columns in ascending index order, so
     tie-breaking stays by original index; None means every column.
-    left_out are rows the tree is not grown on; growth only routes them.
+    left_out are rows the tree is not grown on, ascending; growth only
+    routes them.
 
     Each node carries its rows, its left-out rows and, for each candidate
     column, its rows in that column's order. A split partitions every one
     of these lists with the threshold test that `predict_tree` applies,
     which keeps each in its order, so no node sorts and a left-out row
-    ends in the leaf that `predict_tree` would send it to. Returns the tree
-    and its leaves as (node, rows, left-out rows) triples.
+    ends in the leaf that `predict_tree` would send it to. Returns the tree,
+    leaf values not yet scaled by eta, and its leaves as (node, rows,
+    left-out rows) triples. The grower is C (`_gbrt.c`), the one `fit` runs.
     """
-    if not rows:
+    if len(rows) == 0:
         raise ValueError("need at least one sample")
-    if columns is None:
-        columns = range(len(cols))
-    tree_cols = [cols[c] for c in columns]
-    if len(rows) == len(g):
-        node_orders = [orders[c] for c in columns]
-    else:
-        sampled = [False] * len(g)
-        for r in rows:
-            sampled[r] = True
-        node_orders = [[r for r in orders[c] if sampled[r]] for c in columns]
-
-    feature, threshold, gain, cover, value, right = [], [], [], [], [], []
-    leaves = []
-    # (rows, left-out rows, their orders, depth, parent if this is a right
-    # child else -1); the left child is pushed last so it is numbered next
-    # (pre-order).
-    stack = [(rows, left_out, node_orders, 0, -1)]
-    while stack:
-        rows, left_out, node_orders, depth, parent = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            right[parent] = node
-        split_gain, col_local = 0.0, -1
-        if depth < params.max_depth and len(rows) >= 2:
-            split_gain, col_local, thr = _kernels.best_split_kernel(
-                tree_cols, node_orders, rows, g,
-                params.reg_lambda, params.reg_alpha, params.gamma,
-            )
-        right.append(-1)
-        if col_local < 0 or split_gain <= 0.0:
-            feature.append(-1)
-            threshold.append(0.0)
-            gain.append(0.0)
-            cover.append(0.0)
-            value.append(
-                leaf_weight(_pairwise_sum([g[r] for r in rows]), float(len(rows)), params)
-            )
-            leaves.append((node, rows, left_out))
-            continue
-        feature.append(columns[col_local])
-        threshold.append(thr)
-        gain.append(split_gain)
-        cover.append(float(len(rows)))
-        value.append(0.0)
-        col = tree_cols[col_local]
-        lists = [rows, left_out, *node_orders]
-        # Features and thresholds are never NaN, so > is the complement of <=.
-        r_rows, r_out, *r_orders = [[r for r in part if col[r] > thr] for part in lists]
-        l_rows, l_out, *l_orders = [[r for r in part if col[r] <= thr] for part in lists]
-        stack.append((r_rows, r_out, r_orders, depth + 1, node))
-        stack.append((l_rows, l_out, l_orders, depth + 1, -1))
-    return Tree(feature, threshold, gain, cover, value, right), leaves
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    n = len(g)
+    cols = np.ascontiguousarray(cols, dtype=np.float64).reshape(-1, n)
+    columns = _kernels.indices(
+        range(len(cols)) if columns is None else columns, len(cols), "columns"
+    )
+    rows = _kernels.indices(rows, n, "rows")
+    left_out = _kernels.indices(left_out, n, "left_out")
+    orders = _kernels.indices(orders, n, "orders").reshape(cols.shape)
+    # The grower cuts each order down to the rows by flagging them, so an
+    # order must hold every row once and rows and left_out no row twice.
+    if not (
+        (np.diff(rows) > 0).all()
+        and (np.diff(left_out) > 0).all()
+        and (np.sort(orders, axis=1) == np.arange(n)).all()
+    ):
+        raise ValueError("rows and left_out must ascend and each order must hold every row once")
+    capacity = 2 * len(rows) - 1  # every leaf holds a row
+    links = np.empty((2, capacity), dtype=np.int64)
+    nodes = np.empty((4, capacity))
+    leaf_of = np.empty(n, dtype=np.int64)
+    size = _nodes_written(_kernels.library().pervml_gbrt_grow(
+        n, cols.ctypes.data, orders.ctypes.data, g.ctypes.data,
+        len(rows), rows.ctypes.data, len(left_out), left_out.ctypes.data,
+        len(columns), columns.ctypes.data, min(params.max_depth, _kernels.INT64_MAX),
+        params.gamma, params.reg_lambda, params.reg_alpha,
+        capacity, links.ctypes.data, nodes.ctypes.data, leaf_of.ctypes.data,
+    ))
+    (tree,) = _trees(links[:, :size], nodes[:, :size], [(0, size)])
+    leaf_of, rows, left_out = leaf_of.tolist(), rows.tolist(), left_out.tolist()
+    leaves = [
+        (node, [r for r in rows if leaf_of[r] == node], [r for r in left_out if leaf_of[r] == node])
+        for node, feature in enumerate(tree.feature)
+        if feature < 0
+    ]
+    return tree, leaves
 
 
 def predict_tree(tree: Tree, rows) -> list[float]:
@@ -313,35 +273,39 @@ def predict_tree(tree: Tree, rows) -> list[float]:
     return out
 
 
-def _copy_tree(tree: Tree) -> Tree:
-    return Tree(**{name: list(nodes) for name, nodes in vars(tree).items()})
-
-
 @functools.lru_cache(maxsize=32)
 def _sample_schedule(seed, n, d, subsample, colsample_bytree, rounds):
-    """Every round's (sampled rows, left-out rows, candidate columns).
+    """Every draw's sampled rows and candidate columns, and each round's draw.
 
     One `default_rng(seed)`, made only when a rate is below 1, draws each
     round ceil(subsample * n) rows without replacement when subsample < 1,
     then ceil(colsample_bytree * d) columns when colsample_bytree < 1. Rows
-    and columns are sorted ascending. Everything is a tuple, so the schedule
-    a fit gets from the cache is safe to share with every fit of the same key.
+    and columns are sorted ascending, and rounds that draw the same rows and
+    columns share one draw. Returns (rows, columns, draw): row i of rows and
+    of columns is draw i's, and draw[k] is round k's draw. The arrays are
+    read-only, so the schedule a fit gets from the cache is safe to share
+    with every fit of the same key.
     """
     rng = np.random.default_rng(seed) if min(subsample, colsample_bytree) < 1.0 else None
-    all_rows, all_cols = tuple(range(n)), tuple(range(d))
     n_rows = math.ceil(subsample * n)
     n_cols = math.ceil(colsample_bytree * d)
-    schedule = []
+    draws = {}  # (rows, columns) -> draw id, in order of first use
+    draw = []
     for _ in range(rounds):
-        rows, left_out, columns = all_rows, (), all_cols
+        rows, columns = range(n), range(d)
         if subsample < 1.0:
-            rows = tuple(sorted(rng.choice(n, size=n_rows, replace=False).tolist()))
-            sampled = set(rows)
-            left_out = tuple(r for r in all_rows if r not in sampled)
+            rows = sorted(rng.choice(n, size=n_rows, replace=False).tolist())
         if colsample_bytree < 1.0:
-            columns = tuple(sorted(rng.choice(d, size=n_cols, replace=False).tolist()))
-        schedule.append((rows, left_out, columns))
-    return tuple(schedule)
+            columns = sorted(rng.choice(d, size=n_cols, replace=False).tolist())
+        draw.append(draws.setdefault((tuple(rows), tuple(columns)), len(draws)))
+    schedule = (
+        np.array([rows for rows, _ in draws], dtype=np.int64).reshape(len(draws), n_rows),
+        np.array([columns for _, columns in draws], dtype=np.int64).reshape(len(draws), n_cols),
+        np.array(draw, dtype=np.int64),
+    )
+    for part in schedule:
+        part.flags.writeable = False
+    return schedule
 
 
 def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
@@ -358,51 +322,42 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
     module docstring); neither changes a bit of the trees.
     """
     X, y = check_inputs(X, y, None)
-    n, d = X.shape
+    d = X.shape[1]
     if feature_names is None:
         feature_names = tuple(f"f{j}" for j in range(d))
     feature_names = tuple(feature_names)
     if len(feature_names) != d:
         raise ValueError("feature_names length must match column count")
+    trees, _ = _boost(X, y, params)
+    return TreeEnsemble(params.base_score, params.eta, feature_names, trees)
 
-    ensemble = TreeEnsemble(
-        base_score=params.base_score, eta=params.eta, feature_names=feature_names
-    )
+
+def _boost(X, y, params: GbrtParams) -> tuple[list[Tree], list[bool]]:
+    """Every round's tree, and whether the round grew it rather than copying
+    an earlier round's; X and y have passed `check_inputs`. All the rounds
+    run in one call to C (`_gbrt.c`)."""
+    n, d = X.shape
     cols, orders = presort(X)
-    y = y.tolist()
-    preds = [params.base_score] * n
-    schedule = _sample_schedule(
+    y = np.ascontiguousarray(y)
+    rows, columns, draw = _sample_schedule(
         params.seed, n, d, params.subsample, params.colsample_bytree, params.n_estimators
     )
-    bits = struct.Struct(f"{n}d").pack
-    preds_bits = bits(*preds)
-    # (rows, columns) -> the tree that draw grew from the current gradients,
-    # if it left every prediction's bits unchanged; emptied when one changes.
-    fixed = {}
-    for rows, left_out, columns in schedule:
-        draw = rows, columns
-        tree = fixed.get(draw)
-        if tree is not None:
-            ensemble.trees.append(_copy_tree(tree))
-            continue
-        g = [p - t for p, t in zip(preds, y)]
-        tree, leaves = build_tree(cols, orders, rows, g, params, columns, left_out)
-        value = tree.value = [v * params.eta for v in tree.value]
-        ensemble.trees.append(tree)
-        new = preds[:]
-        for node, leaf_rows, leaf_out in leaves:
-            v = value[node]
-            for r in leaf_rows:
-                new[r] += v
-            for r in leaf_out:
-                new[r] += v
-        new_bits = bits(*new)
-        if new_bits == preds_bits:
-            fixed[draw] = tree
-        else:
-            fixed.clear()
-            preds, preds_bits = new, new_bits
-    return ensemble
+    rounds, n_rows = len(draw), rows.shape[1]
+    # A tree has at most one leaf per row, and a tree of depth D at most
+    # 2**D leaves; only grown trees take nodes.
+    capacity = rounds * min(2 * n_rows - 1, 2 ** min(params.max_depth + 1, 63) - 1)
+    links = np.empty((2, capacity), dtype=np.int64)
+    nodes = np.empty((4, capacity))
+    spans = np.empty((rounds, 2), dtype=np.int64)
+    grown = np.empty(rounds, dtype=np.int8)
+    size = _nodes_written(_kernels.library().pervml_gbrt_fit(
+        n, cols.ctypes.data, orders.ctypes.data, y.ctypes.data,
+        n_rows, rows.ctypes.data, columns.shape[1], columns.ctypes.data, len(rows),
+        rounds, draw.ctypes.data, min(params.max_depth, _kernels.INT64_MAX),
+        params.eta, params.gamma, params.reg_lambda, params.reg_alpha, params.base_score,
+        capacity, links.ctypes.data, nodes.ctypes.data, spans.ctypes.data, grown.ctypes.data,
+    ))
+    return _trees(links[:, :size], nodes[:, :size], spans.tolist()), grown.astype(bool).tolist()
 
 
 def _tree_to_dict(tree: Tree) -> dict:

@@ -50,16 +50,19 @@ def rng():
 
 @pytest.fixture()
 def cold_smo_cache(monkeypatch, tmp_path):
-    """An empty cache directory that the next SMO solve builds its library into."""
+    """An empty cache directory that the next compiled call builds its library
+    into, with no library loaded and no failed build remembered."""
     cache = tmp_path / "smo-cache"
-    monkeypatch.setattr(_kernels, "_SMO_CACHE", cache)
-    monkeypatch.setattr(_kernels, "_smo", None)
+    monkeypatch.setattr(_kernels, "_CACHE", cache)
+    monkeypatch.setattr(_kernels, "_lib", None)
+    monkeypatch.setattr(_kernels, "_build_error", None)
     return cache
 
 
 @pytest.fixture()
 def no_compiler(monkeypatch, tmp_path):
-    """A PATH on which no `cc` can be found."""
+    """A PATH on which no `cc` can be found, and no failed build remembered."""
     empty = tmp_path / "empty-path"
     empty.mkdir()
     monkeypatch.setenv("PATH", str(empty))
+    monkeypatch.setattr(_kernels, "_build_error", None)

@@ -1,7 +1,9 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
+import os
 import re
 import shutil
 import warnings
@@ -12,6 +14,8 @@ import pytest
 from pervml import __version__, _kernels, cli
 from pervml.data import bundled_path
 from pervml.svr import SvrConvergenceWarning
+
+from test_svr import count_compiles
 
 
 def run_cli(*argv):
@@ -166,15 +170,15 @@ class TestTrain:
         assert "Traceback" not in err
         assert not (out / "model_svr_compressive.json").exists()
 
-    def test_svr_without_a_compiler_exits_2(self, tmp_path, capsys, cold_smo_cache, no_compiler):
+    @pytest.mark.parametrize("model", ["gbrt", "svr"])
+    def test_without_a_compiler_exits_2(self, tmp_path, capsys, cold_smo_cache, no_compiler, model):
         out = tmp_path / "out"
-        assert run_cli("train", "--model", "svr", "--out", str(out)) == 2
+        assert run_cli("train", "--model", model, "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert "pervml train: error: svr needs a C compiler" in err
+        assert "pervml train: error: pervml needs a C compiler" in err
         assert "`cc -std=c99 " in err
         assert "Traceback" not in err
-        assert run_cli("train", "--model", "gbrt", "--out", str(out)) == 0
-        assert (out / "model_gbrt_compressive.json").exists()
+        assert not out.exists() or not list(out.iterdir())
 
 
 class TestSplitErrors:
@@ -470,6 +474,46 @@ class TestTune:
         stdout = capsys.readouterr().out
         assert "fold seed 42" in stdout
 
+
+    def test_default_gbrt_grid(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("tune", "--model", "gbrt", "--out", str(out)) == 0
+        header, *rows = read_csv(out / "cv_results_gbrt_compressive.csv")
+        assert len(rows) == 3072
+        mean, rank = header.index("mean_mse"), header.index("rank")
+        assert sorted(int(row[rank]) for row in rows) == list(range(1, 3073))
+        best = next(row for row in rows if row[rank] == "1")
+        assert float(best[mean]) == min(float(row[mean]) for row in rows)
+        # The outputs of the pure-Python fit this compiled one replaced, bit for
+        # bit. No gbrt output depends on numpy's SIMD dispatch.
+        assert {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(out))
+        } == {
+            "best_params_gbrt_compressive.txt":
+                "ed839081f350ed0dc27cbcae17d8c7e6b20dbefb1727631b9ada9e98e3c05f1e",
+            "cv_results_gbrt_compressive.csv":
+                "2e72c687b6b0600bfab19794826cffa36eb3b9c4738a65034615dc2b4535c7c0",
+            "model_gbrt_compressive.json":
+                "8b3f683f1bbf766586ecbdb2a6a95f7521733d9952f037a99ccc43a2d844470e",
+        }
+
+    @pytest.mark.parametrize(
+        "model, grid", [("gbrt", "eta = 0.3, 0.5"), ("svr", "C = 1, 2")], ids=["gbrt", "svr"]
+    )
+    def test_without_a_compiler_builds_once(
+        self, tmp_path, capsys, cold_smo_cache, no_compiler, monkeypatch, model, grid
+    ):
+        # The two combinations are two fit groups, and each fails alike.
+        commands = count_compiles(monkeypatch)
+        path = tmp_path / "grid.ini"
+        path.write_text(f"[{model}]\n{grid}\n")
+        out = tmp_path / "out"
+        assert run_cli("tune", "--model", model, "--grid", str(path), "--out", str(out)) == 2
+        assert len(commands) == 1
+        err = capsys.readouterr().err
+        assert "every grid combination failed" in err and "pervml needs a C compiler" in err
+        assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::pervml.svr.SvrConvergenceWarning")
     def test_default_svr_grid(self, tmp_path, capsys):

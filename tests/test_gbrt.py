@@ -9,15 +9,7 @@ from hypothesis import strategies as st
 
 from pervml import gbrt
 from pervml._kernels import best_split_kernel
-from pervml.gbrt import (
-    GbrtParams,
-    Tree,
-    TreeEnsemble,
-    build_tree,
-    leaf_weight,
-    predict_tree,
-    presort,
-)
+from pervml.gbrt import GbrtParams, Tree, TreeEnsemble, build_tree, predict_tree, presort
 from pervml.metrics import mse
 from pervml.modelio import ModelIOError
 
@@ -52,6 +44,46 @@ def split_gain(left: GradStats, right: GradStats, params: GbrtParams) -> float:
         0.5 * (tl * tl / (hl + lam) + tr * tr / (hr + lam) - tp * tp / (hl + hr + lam))
         - params.gamma
     )
+
+
+def leaf_weight(grad_sum: float, count: float, params: GbrtParams) -> float:
+    """Optimal leaf value under the L1/L2-regularized second-order objective:
+    -soft_threshold(G, alpha) / (count + lambda)."""
+    shrunk = math.copysign(max(abs(grad_sum) - params.reg_alpha, 0.0), grad_sum)
+    return -shrunk / (count + params.reg_lambda)
+
+
+def pairwise_sum(values: list) -> float:
+    """`float(np.sum(values))` for float64 values, bit for bit, on Python floats.
+
+    numpy sums fewer than 8 values left to right from 0.0; up to 128 values
+    with 8 interleaved accumulators combined pairwise, then the remainder
+    left to right; longer runs by splitting them at a multiple of 8 near
+    the middle. The reduction adds the result to 0.0, so a sum of only
+    -0.0 values is 0.0.
+    """
+    return 0.0 + pairwise_block(values, 0, len(values))
+
+
+def pairwise_block(v: list, lo: int, n: int) -> float:
+    if n < 8:
+        total = 0.0
+        for i in range(lo, lo + n):
+            total += v[i]
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return pairwise_block(v, lo, half) + pairwise_block(v, lo + half, n - half)
+    r = v[lo : lo + 8]
+    end = lo + n - n % 8
+    for i in range(lo + 8, end, 8):
+        for lane in range(8):
+            r[lane] += v[i + lane]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(end, lo + n):
+        total += v[i]
+    return total
 
 
 def leaf_tree(value: float) -> Tree:
@@ -97,24 +129,24 @@ def grow(X, g, params) -> Tree:
     return tree
 
 
+def root_leaf(g, **params) -> float:
+    """The value of the one leaf build_tree grows at depth 0 from gradients g."""
+    return grow(np.zeros((len(g), 1)), g, stump_params(max_depth=0, **params)).value[0]
+
+
 class TestLeafWeight:
     def test_plain(self):
-        p = GbrtParams(reg_lambda=0.0, reg_alpha=0.0)
-        assert leaf_weight(0.5, 1.0, p) == -0.5
+        assert root_leaf([0.5]) == leaf_weight(0.5, 1.0, stump_params()) == -0.5
 
     def test_soft_threshold(self):
-        p = GbrtParams(reg_lambda=0.0, reg_alpha=0.2)
-        assert leaf_weight(0.5, 1.0, p) == pytest.approx(-0.3)
-        assert leaf_weight(-0.5, 1.0, p) == pytest.approx(0.3)
-        assert leaf_weight(0.1, 1.0, p) == 0.0
+        assert root_leaf([0.5], reg_alpha=0.2) == pytest.approx(-0.3)
+        assert root_leaf([-0.5], reg_alpha=0.2) == pytest.approx(0.3)
+        assert root_leaf([0.1], reg_alpha=0.2) == 0.0
 
     def test_equals_mean_residual(self, rng):
         y = rng.uniform(size=6)
         y_hat = rng.uniform(size=6)
-        g = y_hat - y
-        p = GbrtParams(reg_lambda=0.0, reg_alpha=0.0)
-        w = leaf_weight(float(g.sum()), float(len(g)), p)
-        assert w == pytest.approx((y - y_hat).mean())
+        assert root_leaf(y_hat - y) == pytest.approx((y - y_hat).mean())
 
 
 class TestSplitGain:
@@ -164,6 +196,28 @@ class TestBuildTree:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             grow(np.empty((0, 2)), np.empty(0), stump_params())
+
+    # The compiled grower indexes by every row and column number it is given.
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"rows": [0, 3]},
+            {"rows": [1, 0]},
+            {"rows": [0, 0]},
+            {"left_out": [-1]},
+            {"columns": [1]},
+            {"orders": [[0, 0, 2]]},
+        ],
+        ids=["row_beyond_n", "descending", "repeated", "negative", "column_beyond_d", "order_repeats"],
+    )
+    def test_bad_numbers_raise(self, bad):
+        cols, orders = presort([[0.0], [1.0], [2.0]])
+        args = {"rows": [0, 1], "left_out": [2], "columns": [0], "orders": orders, **bad}
+        with pytest.raises(ValueError, match="must"):
+            build_tree(
+                cols, args["orders"], args["rows"], [0.1, -0.2, 0.3], stump_params(),
+                args["columns"], args["left_out"],
+            )
 
 
 def enumerate_best_split(X, g, params):
@@ -231,6 +285,11 @@ class TestGreedyMatchesEnumeration:
             assert tree.gain[0] == gain
             checked_splits += 1
         assert checked_splits > 50  # the generator must exercise real splits
+
+    def test_rows_beyond_n_raise(self):
+        cols, _ = presort([[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match=r"rows must lie in \[0, 3\)"):
+            best_split_kernel(cols, [[0, 3]], [0, 3], [0.1, -0.2, 0.3], 1.0, 0.0, 0.0)
 
     def test_constant_columns_yield_no_split(self):
         cols, orders = presort(np.zeros((5, 2)))
@@ -335,6 +394,10 @@ class TestSplitKernelMatchesOracle:
     # The second candidate wins only through its right side: its left
     # term alone (0.667) is below the first candidate's gain (0.792).
     @example(split_example([[0.0], [1.0], [2.0]], [1.0, 1.0, -3.0], (1.0, 0.0, 0.0)))
+    # Subnormal side terms make 0.5 * (s - p) inexact (1.5 units of 5e-324,
+    # rounded to 2), so this split gains 5e-324 and is kept; subtracting
+    # gamma in one fused multiply-subtract would round the gain to 0.
+    @example(split_example([[0.0], [1.0]], [2.0**-537, -1.5 * 2.0**-537], (0.0, 0.0, 5e-324)))
     def test_bit_identical(self, problem):
         X, g, reg, rows = problem
         # The kernel reads the fit's presorted orders cut down to the node's
@@ -511,6 +574,13 @@ class TestStagedPrefix:
         assert (big.predict(X_new) == stages[m]).all()
 
 
+def schedule_of(X, params):
+    """The `_sample_schedule` a fit of params on X takes its draws from."""
+    return gbrt._sample_schedule(
+        params.seed, *X.shape, params.subsample, params.colsample_bytree, params.n_estimators
+    )
+
+
 class TestCoverIsRowCount:
     """Squared error has hessian 1 per row, so an internal node's cover (its
     hessian sum) is the number of the tree's sampled rows that reach it."""
@@ -532,17 +602,10 @@ class TestCoverIsRowCount:
             n_estimators=4, max_depth=depth, subsample=subsample,
             colsample_bytree=colsample, seed=seed,
         )
-        sampled = []
-
-        def recording_build_tree(cols, orders, rows, g, params, columns=None, left_out=()):
-            sampled.append(X[list(rows)])
-            return build_tree(cols, orders, rows, g, params, columns, left_out)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gbrt, "build_tree", recording_build_tree)
-            model = gbrt.fit(X, y, params)
-        assert len(sampled) == len(model.trees)
-        for tree, rows in zip(model.trees, sampled):
+        trees, grown = gbrt._boost(X, y, params)
+        assert grown == [True] * len(trees)
+        sampled, _, draw = schedule_of(X, params)
+        for tree, rows in zip(trees, (X[sampled[i]] for i in draw)):
             reached = [0] * len(tree.feature)
             for row in rows:
                 node = 0
@@ -602,6 +665,7 @@ def reference_predict_tree(tree: Tree, X) -> np.ndarray:
 def reference_fit(X, y, params) -> list[Tree]:
     """The trees of the per-node `fit`: every round grows a full tree and
     walks it for every row."""
+    X = np.array(X, dtype=float)
     rng = np.random.default_rng(params.seed)
     n = X.shape[0]
     trees = []
@@ -685,6 +749,23 @@ def assert_matches_reference(X, y, params, X_new):
         assert got.tobytes() == stage.tobytes()
 
 
+# Five rows of two columns, tied values and -0.0 among them, for explicit cases.
+SMALL_X = np.array([[0.0, 1.0], [0.25, 0.0], [0.5, 1 / 3], [1.0, 0.25], [-0.0, 1.0]])
+SMALL_Y = np.array([0.1, 0.4, 0.2, 0.9, 0.0])
+SMALL_PARAMS = GbrtParams(n_estimators=6, max_depth=3, eta=0.95, subsample=0.7, seed=5)
+
+# fit takes X in any layout and dtype as float64 rows.
+LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "float32": lambda a: a.astype(np.float32),
+    "strided": lambda a: np.repeat(a, 2, axis=-1)[..., ::2],
+}
+
+
+def small_problem(X=SMALL_X, **params):
+    return X, SMALL_Y, replace(SMALL_PARAMS, **params), SMALL_X
+
+
 class TestMatchesPerNodeReference:
     """Presorted growth, leaf updates from the partition and the reuse of
     trees while the predictions keep their bits give the trees and staged
@@ -692,6 +773,14 @@ class TestMatchesPerNodeReference:
 
     @settings(max_examples=150, deadline=None)
     @given(boosting_problems())
+    @example(small_problem(LAYOUTS["fortran"](SMALL_X)))
+    @example(small_problem(LAYOUTS["float32"](SMALL_X)))
+    @example(small_problem(LAYOUTS["strided"](SMALL_X)))
+    # 2**64 + 5 wraps to 5 in a 64-bit integer.
+    @example(small_problem(max_depth=2**64 + 5))
+    @example(small_problem(n_estimators=0))
+    # ceil(0.1 * 5) = 1: each tree is grown on one row and routes the other four.
+    @example(small_problem(subsample=0.1, n_estimators=12))
     def test_bit_identical(self, problem):
         assert_matches_reference(*problem)
 
@@ -702,39 +791,28 @@ class TestMatchesPerNodeReference:
         # two leaves of +-0.0 is a fixed point as well.
         [(0.11, 0.005, 4), (1.1, 0.0, 25)],
     )
-    def test_fixed_point_stop_matches(self, monkeypatch, reg_alpha, gamma, grown_trees):
+    def test_fixed_point_stop_matches(self, reg_alpha, gamma, grown_trees):
         X = np.array([[0.0], [0.25], [0.5], [1.0], [-0.0]])
         y = np.array([0.1, 0.4, 0.2, 0.9, 0.0])
         params = GbrtParams(
             n_estimators=60, max_depth=2, eta=0.95, reg_alpha=reg_alpha, gamma=gamma
         )
-        grown = []
-
-        def counting_build_tree(*args):
-            grown.append(1)
-            return build_tree(*args)
-
-        monkeypatch.setattr(gbrt, "build_tree", counting_build_tree)
+        _, grown = gbrt._boost(X, y, params)
+        assert grown == [True] * grown_trees + [False] * (60 - grown_trees)
         model = gbrt.fit(X, y, params)
-        assert len(grown) == grown_trees
         last = model.trees[grown_trees - 1]
         assert model.trees[grown_trees:] == [last] * (60 - grown_trees)
         assert all(t is not last and t.value is not last.value for t in model.trees[grown_trees:])
         assert_matches_reference(X, y, params, X)
 
     @staticmethod
-    def grown_columns(monkeypatch):
+    def grown_columns(X, y, params):
         """The candidate columns of every tree `fit` grows, in order."""
-        grown = []
+        _, grown = gbrt._boost(X, y, params)
+        _, columns, draw = schedule_of(X, params)
+        return [tuple(columns[i].tolist()) for i, grew in zip(draw, grown) if grew]
 
-        def recording_build_tree(cols, orders, rows, g, params, columns=None, left_out=()):
-            grown.append(columns)
-            return build_tree(cols, orders, rows, g, params, columns, left_out)
-
-        monkeypatch.setattr(gbrt, "build_tree", recording_build_tree)
-        return grown
-
-    def test_column_draws_reuse_their_trees(self, monkeypatch):
+    def test_column_draws_reuse_their_trees(self):
         # Each round draws one of the 2 columns. Rounds 5 and 6 grow, from
         # either column, a leaf of -0.0 that changes no prediction's bits, so
         # the 34 later rounds reuse the tree their draw grew.
@@ -744,7 +822,7 @@ class TestMatchesPerNodeReference:
             n_estimators=40, max_depth=2, eta=0.95, reg_alpha=0.11, gamma=0.005,
             colsample_bytree=0.5, seed=0,
         )
-        grown = self.grown_columns(monkeypatch)
+        grown = self.grown_columns(X, y, params)
         model = gbrt.fit(X, y, params)
         assert grown == [(1,), (1,), (1,), (0,), (0,), (1,)]
         reused = model.trees[len(grown):]
@@ -753,7 +831,7 @@ class TestMatchesPerNodeReference:
         assert len({id(tree.value) for tree in model.trees}) == 40
         assert_matches_reference(X, y, params, X)
 
-    def test_a_changed_prediction_drops_the_reusable_trees(self, monkeypatch):
+    def test_a_changed_prediction_drops_the_reusable_trees(self):
         # Round 1 draws column 0, which is constant: a leaf of -0.0 that
         # changes no prediction. Round 2 draws column 1 and its split moves
         # every prediction, so the gradients' sum is no longer 0 and round
@@ -764,7 +842,7 @@ class TestMatchesPerNodeReference:
             n_estimators=3, max_depth=1, eta=1.0, reg_alpha=0.11,
             colsample_bytree=0.5, base_score=0.0, seed=21,
         )
-        grown = self.grown_columns(monkeypatch)
+        grown = self.grown_columns(X, y, params)
         model = gbrt.fit(X, y, params)
         assert grown == [(0,), (1,), (0,)]
         first, _, third = model.trees
@@ -794,7 +872,9 @@ def subsampled_growth(draw):
     subsample = draw(st.sampled_from([0.3, 0.5, 0.7]))
     colsample = draw(st.sampled_from([0.6, 1.0]))
     seed = draw(st.integers(0, 2**32 - 1))
-    rows, left_out, columns = gbrt._sample_schedule(seed, n, d, subsample, colsample, 1)[0]
+    rows, columns, _ = gbrt._sample_schedule(seed, n, d, subsample, colsample, 1)
+    rows, columns = rows[0].tolist(), columns[0].tolist()
+    left_out = [r for r in range(n) if r not in rows]
     params = GbrtParams(
         max_depth=draw(st.integers(0, 4)),
         gamma=draw(st.sampled_from([0.0, 0.005])),
@@ -840,6 +920,47 @@ class TestLeftOutRouting:
         assert [tree_bits(t) for t in model.trees] == [tree_bits(t) for t in want]
 
 
+class TestFitInputs:
+    """fit reads X in any layout and dtype as C-ordered float64, and clamps a
+    max_depth that a 64-bit integer cannot hold."""
+
+    params = GbrtParams(
+        n_estimators=20, max_depth=4, subsample=0.7, colsample_bytree=0.7, seed=3
+    )
+
+    @pytest.mark.parametrize("convert", LAYOUTS.values(), ids=LAYOUTS.keys())
+    def test_any_layout_gives_the_same_trees(self, train_slices, convert):
+        train = train_slices["compressive"]
+        X, y = convert(train.X), convert(train.y)
+        want = gbrt.fit(np.array(X, dtype=np.float64), np.array(y, dtype=np.float64), self.params)
+        got = gbrt.fit(X, y, self.params)
+        assert [tree_bits(t) for t in got.trees] == [tree_bits(t) for t in want.trees]
+
+    def test_huge_max_depth_is_not_wrapped(self, train_slices):
+        # Unregularized compressive trees grow to depth 7, deeper than the 5
+        # that 2**64 + 5 wraps to.
+        train = train_slices["compressive"]
+        params = GbrtParams(n_estimators=5, max_depth=10**6, reg_lambda=0.0, gamma=0.0)
+        want = gbrt.fit(train.X, train.y, params)
+        huge = gbrt.fit(train.X, train.y, replace(params, max_depth=2**64 + 5))
+        assert [tree_bits(t) for t in huge.trees] == [tree_bits(t) for t in want.trees]
+        assert max(max(node_depths(tree)) for tree in huge.trees) == 7
+
+    def test_zero_estimators(self, train_slices):
+        train = train_slices["compressive"]
+        assert gbrt._boost(train.X, train.y, replace(self.params, n_estimators=0)) == ([], [])
+
+    def test_a_single_sampled_row(self, train_slices):
+        # ceil(0.05 * 19) = 1 row per tree: every tree is one leaf.
+        train = train_slices["compressive"]
+        params = replace(self.params, subsample=0.05)
+        model = gbrt.fit(train.X, train.y, params)
+        assert all(tree.feature == [-1] for tree in model.trees)
+        assert [tree_bits(t) for t in model.trees] == [
+            tree_bits(t) for t in reference_fit(train.X, train.y, params)
+        ]
+
+
 class TestSampleSchedule:
     """A fit's draws come from one cached schedule per (seed, n, d, rates,
     rounds); sharing it changes no bit of any tree."""
@@ -874,8 +995,10 @@ class TestSampleSchedule:
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         X, y = rng.uniform(size=(8, 3)), rng.uniform(size=8)
         gbrt.fit(X, y, GbrtParams(n_estimators=5, seed=seed))
-        every_draw = (tuple(range(8)), (), (0, 1, 2))
-        assert gbrt._sample_schedule(seed, 8, 3, 1.0, 1.0, 5) == (every_draw,) * 5
+        rows, columns, draw = gbrt._sample_schedule(seed, 8, 3, 1.0, 1.0, 5)
+        assert (rows.tolist(), columns.tolist(), draw.tolist()) == (
+            [list(range(8))], [[0, 1, 2]], [0] * 5
+        )
 
     def test_fits_on_different_data_share_one_schedule(self, rng):
         params = GbrtParams(n_estimators=5, subsample=0.7, colsample_bytree=0.7, seed=3)
@@ -889,33 +1012,53 @@ class TestSampleSchedule:
     def test_entries_are_immutable_and_consistent(self):
         n, d = 10, 3
         schedule = gbrt._sample_schedule(7, n, d, 0.7, 0.6, 4)
-        assert isinstance(schedule, tuple) and len(schedule) == 4
-        for entry in schedule:
-            assert isinstance(entry, tuple)
-            rows, left_out, columns = entry
-            assert all(isinstance(part, tuple) for part in entry)
-            assert len(rows) == 7 and list(rows) == sorted(rows)
-            assert sorted(rows + left_out) == list(range(n))
-            assert len(columns) == 2 and list(columns) == sorted(columns)
+        assert isinstance(schedule, tuple) and len(schedule) == 3
+        rows, columns, draw = schedule
+        assert not any(part.flags.writeable for part in schedule)
+        assert rows.shape == (len(set(draw.tolist())), 7) and columns.shape == (len(rows), 2)
+        assert draw.shape == (4,) and sorted(set(draw.tolist())) == list(range(len(rows)))
+        for part in (rows, columns):
+            assert (np.diff(part, axis=1) > 0).all()
+        assert rows.min() >= 0 and rows.max() < n and columns.max() < d
+
+    def test_rounds_with_equal_draws_share_one(self):
+        # One column of two drawn per round: 40 rounds draw 2 distinct subsets.
+        rows, columns, draw = gbrt._sample_schedule(0, 5, 2, 1.0, 0.5, 40)
+        assert rows.tolist() == [list(range(5))] * 2
+        assert sorted(columns.tolist()) == [[0], [1]]
+        rng = np.random.default_rng(0)
+        drawn = [rng.choice(2, size=1, replace=False).tolist() for _ in range(40)]
+        assert [columns[i].tolist() for i in draw] == drawn
+
+
+def assert_leaf_sums_as_numpy(values):
+    """The depth-0 leaf of build_tree divides its gradient sum by
+    count + reg_lambda, here a power of two, so the division is exact and the
+    leaf's bits show the sum's: they must be numpy's, as is the emulation's."""
+    n = len(values)
+    params = stump_params(max_depth=0, reg_lambda=float(2 ** math.ceil(math.log2(n)) - n))
+    want = leaf_weight(float(np.sum(values)), float(n), params).hex()
+    assert leaf_weight(pairwise_sum(values), float(n), params).hex() == want
+    assert root_leaf(values, reg_lambda=params.reg_lambda).hex() == want
 
 
 class TestPairwiseSum:
-    """The leaf's gradient sum is numpy's pairwise sum, emulated on Python floats."""
+    """The leaf's gradient sum is numpy's pairwise sum."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from([0.0, -0.0]) | gradients, min_size=1, max_size=19))
     def test_matches_numpy_sum(self, values):
-        assert gbrt._pairwise_sum(values).hex() == float(np.sum(values)).hex()
+        assert_leaf_sums_as_numpy(values)
 
     @pytest.mark.parametrize("n", range(1, 20))
     def test_signed_zeros(self, n):
         for values in ([-0.0] * n, [(-0.0, 0.0)[i % 2] for i in range(n)]):
-            assert gbrt._pairwise_sum(values).hex() == float(np.sum(values)).hex()
+            assert_leaf_sums_as_numpy(values)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(gradients, min_size=120, max_size=400))
     def test_long_runs_split_as_numpy_does(self, values):
-        assert gbrt._pairwise_sum(values).hex() == float(np.sum(values)).hex()
+        assert_leaf_sums_as_numpy(values)
 
 
 class TestPredict:

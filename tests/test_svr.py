@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pervml import _kernels, svr
+from pervml import _kernels, gbrt, svr
 from pervml._kernels import smo_solve
 from pervml.data import fit_scaler, load_bundled, reference_split, split
 from pervml.modelio import ModelIOError
@@ -521,7 +521,7 @@ class TestSmoLibrary:
         assert smo_bits(smo_solve(*self.problem)) == smo_bits(smo_oracle(*self.problem))
         assert [c[0] for c in commands] == ["cc"]
         assert [p.suffix for p in cold_smo_cache.iterdir()] == [".so"]  # no temporary left
-        monkeypatch.setattr(_kernels, "_smo", None)
+        monkeypatch.setattr(_kernels, "_lib", None)
         assert smo_bits(smo_solve(*self.problem)) == smo_bits(smo_oracle(*self.problem))
         assert len(commands) == 1
 
@@ -530,14 +530,15 @@ class TestSmoLibrary:
         expected = smo_oracle(*self.problem)
         smo_solve(*self.problem)
         changed = tmp_path / "_smo.c"
-        source = _kernels._SMO_SOURCE.read_text()
+        smo_source, gbrt_source = _kernels._SOURCES
+        source = smo_source.read_text()
         assert source.count("it += 1;") == 1
         changed.write_text(source.replace("it += 1;", "it += 2;"))
-        monkeypatch.setattr(_kernels, "_SMO_SOURCE", changed)
-        monkeypatch.setattr(_kernels, "_smo", None)
+        monkeypatch.setattr(_kernels, "_SOURCES", (changed, gbrt_source))
+        monkeypatch.setattr(_kernels, "_lib", None)
         assert smo_solve(*self.problem)[3] == 2 * expected[3] > 0
         assert len(commands) == 2
-        assert len(list(cold_smo_cache.glob("_smo-*.so"))) == 2
+        assert len(list(cold_smo_cache.glob("_kernels-*.so"))) == 2
 
     def test_unwritable_cache_still_solves(self, monkeypatch, tmp_path):
         blocker = tmp_path / "blocker"
@@ -545,15 +546,24 @@ class TestSmoLibrary:
         private = tmp_path / "tmp"
         private.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(private))
-        monkeypatch.setattr(_kernels, "_SMO_CACHE", blocker / "__pycache__")
-        monkeypatch.setattr(_kernels, "_smo", None)
+        monkeypatch.setattr(_kernels, "_CACHE", blocker / "__pycache__")
+        monkeypatch.setattr(_kernels, "_lib", None)
         assert smo_bits(smo_solve(*self.problem)) == smo_bits(smo_oracle(*self.problem))
         assert list(private.iterdir()) == []  # the private build is removed once loaded
 
     def test_missing_compiler_names_cc(self, no_compiler, cold_smo_cache):
-        with pytest.raises(RuntimeError, match="svr needs a C compiler.*`cc -std=c99 "):
+        with pytest.raises(RuntimeError, match="pervml needs a C compiler.*`cc -std=c99 "):
             smo_solve(*self.problem)
         assert list(cold_smo_cache.iterdir()) == []
+
+    def test_failed_build_is_not_retried(self, no_compiler, cold_smo_cache, monkeypatch):
+        commands = count_compiles(monkeypatch)
+        with pytest.raises(RuntimeError, match="pervml needs a C compiler") as first:
+            smo_solve(*self.problem)
+        with pytest.raises(RuntimeError) as again:
+            gbrt.fit(np.eye(2), np.zeros(2), gbrt.GbrtParams(n_estimators=1))
+        assert again.value is first.value
+        assert len(commands) == 1
 
 
 def fit_reference_setting(train_slices, target):
