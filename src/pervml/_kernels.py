@@ -34,13 +34,15 @@ break keeps its q, a kink break its kink). s_opt < s_box <= C' - bi and
 inside (-C, C) are inside (-C', C'), so the offsets agree. The pass reads
 C only through the offsets. So a run at C' repeats, bit for bit, every
 step of a run at C up to that run's first step that is not box-free, or
-its return if there is none. There the run at C stores the state the step
-starts from: n_iter, beta and v. Every coefficient of that state is inside
-the box, so its offsets follow from beta's signs alone and are not stored.
-A run at C' >= C resumes from it with a zero step: v is never -0.0 (a sum
-is -0.0 only when both terms are, and v starts at +0.0), so v + 0.0 keeps
-its bits, and the first pass picks the pair the stored run picked, or
-returns where it returned.
+its return if there is none. The state that step starts from, n_iter,
+beta and v, is the run's prefix. Every coefficient of it is inside the
+box, so its offsets follow from beta's signs alone and are not kept. A run
+at C' >= C resumes from it with a zero step: v is never -0.0 (a sum is
+-0.0 only when both terms are, and v starts at +0.0), so v + 0.0 keeps its
+bits, and the first pass picks the pair the run at C picked, or returns
+where it returned. `smo_solve` returns each run's prefix and takes one
+back, so a caller that solves one problem at ascending C hands each run
+the prefix of the run before it (`svr.stage_predictions`).
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ import ctypes
 import os
 import platform
 import shutil
-import struct
 import tempfile
 from pathlib import Path
 
@@ -57,13 +58,6 @@ import numpy as np
 
 # Kept only because perfbench/run.py records it; nothing in pervml reads it.
 NUMBA_ENABLED = False
-
-# SMO prefixes shared across C, or None: {(K bytes, y bytes): {(eps and tol
-# bytes, max_iter): (C, n_iter, beta then v as one float64 array)}}, one
-# entry per key, from the largest C so far. tuning.grid_search makes it a
-# dict while it scores its grid and sets it back to None, so every other
-# call is cold.
-_smo_prefixes = None
 
 # The compiled loops. Contraction off keeps every product rounded on its
 # own; -ffast-math or -march could fuse or reorder and change the bits.
@@ -191,7 +185,7 @@ def best_split_kernel(cols, orders, rows, g, reg_lambda, reg_alpha, gamma):
     return best[0], col, best[1]
 
 
-def smo_solve(K, y, C, eps, tol, max_iter):
+def smo_solve(K, y, C, eps, tol, max_iter, prefix=None):
     """Pairwise coordinate ascent on the epsilon-insensitive dual.
 
     Works on the signed coefficients beta = alpha - alpha*, box [-C, C],
@@ -201,7 +195,7 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     K is (n, n) and y has n entries, both taken as C-ordered float64 (a
     mismatch raises ValueError); C, eps and tol are floats, C > 0 (SvrParams
     checks it). max_iter is clamped to [0, 2**63 - 1]. K and y must be
-    finite, which svr.fit guarantees by raising otherwise; an inf or nan
+    finite, which svr guarantees by raising otherwise; an inf or nan
     entry leaves the dual undefined. The loop runs in C (`_smo.c`); the
     first call builds or loads the library (module docstring).
 
@@ -224,45 +218,39 @@ def smo_solve(K, y, C, eps, tol, max_iter):
     out gets s = e - inf (up) or e + inf (low), an infinity or nan, which
     fails the strict `>` / `<` tests just as skipping it does.
 
-    While `_smo_prefixes` is a dict, a run starts where an earlier run on
-    the same K, y, eps, tol and max_iter at a C no larger than its own
-    first touched its box (module docstring), and leaves there the point
-    where it first touched its own box. The result is the cold run's, bit
-    for bit; n_iter counts the steps of both runs' shared prefix.
+    prefix is None, or the prefix an earlier call returned for the same K,
+    y, eps, tol and max_iter: the point where that run first touched its
+    box (module docstring). A run at a C no smaller than the prefix's
+    resumes from it; a prefix from a larger C is ignored. The result is the
+    cold run's, bit for bit; n_iter counts the steps of the shared prefix.
 
-    Returns (beta, max_up, min_low, n_iter, converged): beta is a float64
-    array; max_up / min_low bracket the feasible bias interval at
+    Returns (beta, max_up, min_low, n_iter, converged, prefix): beta is a
+    float64 array; max_up / min_low bracket the feasible bias interval at
     termination; their gap is the stopping measure compared against tol.
+    prefix is this run's own, (C, its n_iter, beta then v as one float64
+    array), to hand to the run at the next larger C.
     """
     K = np.ascontiguousarray(K, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     n = y.shape[0] if y.ndim == 1 else -1
     if K.shape != (n, n):
         raise ValueError(f"K must be (n, n) for y of n entries; got K {K.shape}, y {y.shape}")
-    store = _smo_prefixes
-    prefixes = prefix = None
-    if store is not None:
-        prefixes = store.setdefault((K.tobytes(), y.tobytes()), {})
-        key = (struct.pack("2d", eps, tol), max_iter)
-        prefix = prefixes.get(key)
-    # Only a run at a larger C than the stored prefix's can lengthen it.
-    sharing = prefixes is not None and (prefix is None or C > prefix[0])
     if prefix is not None and C >= prefix[0]:
         n_iter = ctypes.c_int64(prefix[1])
-        state = prefix[2].copy()
+        state = np.array(prefix[2], dtype=np.float64)
+        if state.shape != (2 * n,):
+            raise ValueError(f"prefix holds {state.size} values; {n} coefficient(s) need {2 * n}")
     else:
         n_iter = ctypes.c_int64(0)
         state = np.zeros(2 * n)
-    snap = np.empty(2 * n) if sharing else None
+    snap = np.empty(2 * n)
     snap_iter = ctypes.c_int64()
     bounds = (ctypes.c_double * 2)()
     flags = library().pervml_smo(
         n, K.ctypes.data, y.ctypes.data, C, eps, tol, min(max(max_iter, 0), INT64_MAX),
-        state.ctypes.data, ctypes.byref(n_iter), bounds,
-        None if snap is None else snap.ctypes.data, ctypes.byref(snap_iter),
+        state.ctypes.data, ctypes.byref(n_iter), bounds, snap.ctypes.data, ctypes.byref(snap_iter),
     )
     if flags < 0:
         raise MemoryError("SMO could not allocate its offsets")
-    if sharing:
-        prefixes[key] = (C, snap_iter.value, snap) if flags & 2 else (C, n_iter.value, state)
-    return state[:n].copy(), bounds[0], bounds[1], n_iter.value, bool(flags & 1)
+    own = (C, snap_iter.value, snap) if flags & 2 else (C, n_iter.value, state)
+    return state[:n].copy(), bounds[0], bounds[1], n_iter.value, bool(flags & 1), own

@@ -104,7 +104,7 @@ class GbrtParams:
 
     def fit_key(self):
         """(params of the fit, stage): n_estimators = k is stage k of a fit with
-        more trees and otherwise equal params (see `staged_predict`)."""
+        more trees and otherwise equal params (see `stage_predictions`)."""
         return replace(self, n_estimators=0), self.n_estimators
 
 
@@ -330,6 +330,14 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
         raise ValueError("feature_names length must match column count")
     trees, _ = _boost(X, y, params)
     return TreeEnsemble(params.base_score, params.eta, feature_names, trees)
+
+
+def stage_predictions(X, y, key: GbrtParams, stages, X_new) -> list[np.ndarray]:
+    """Predictions on X_new of `fit(X, y, replace(key, n_estimators=k))` for
+    each k of stages, in order: one fit of max(stages) trees, read from
+    `staged_predict`, bit for bit what each fit alone gives."""
+    staged = list(fit(X, y, replace(key, n_estimators=max(stages))).staged_predict(X_new))
+    return [staged[k] for k in stages]
 
 
 def _boost(X, y, params: GbrtParams) -> tuple[list[Tree], list[bool]]:

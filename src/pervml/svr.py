@@ -63,11 +63,12 @@ class SvrParams:
             raise ValueError("max_passes must be >= 1")
 
     def fit_key(self):
-        """(params of the fit, stage 0): every kernel field this kernel never
-        reads is reset to its default, so the settings that fit one model agree."""
+        """(params of the fit, stage C): C and every kernel field this kernel
+        never reads reset to their defaults (see `stage_predictions`)."""
         unread = {name for names in KERNEL_FIELDS.values() for name in names}
         unread -= set(KERNEL_FIELDS[self.kernel])
-        return replace(self, **{name: getattr(SvrParams, name) for name in unread}), 0
+        defaults = {name: getattr(SvrParams, name) for name in unread | {"C"}}
+        return replace(self, **defaults), self.C
 
 
 def gram_matrix(params: SvrParams, X1, X2) -> np.ndarray:
@@ -101,10 +102,6 @@ class SvrModel:
     def n_features(self) -> int:
         return self.support_vectors.shape[1]
 
-    def staged_predict(self, X) -> list[np.ndarray]:
-        """The one stage an SVR has: `predict`."""
-        return [self.predict(X)]
-
     def predict(self, X) -> np.ndarray:
         X, _ = check_inputs(X, None, self.n_features)
         if self.dual_coefs.size == 0:
@@ -123,41 +120,52 @@ def fit(X, y, params: SvrParams, feature_names=None) -> SvrModel:
     feature_names is accepted so that every family fits through the same
     call; an SVR model keeps no names.
     """
+    return _fit_path(X, y, [params])[0]
+
+
+def stage_predictions(X, y, key: SvrParams, stages, X_new) -> list[np.ndarray]:
+    """Predictions on X_new of `fit(X, y, replace(key, C=c))` for each c of
+    stages, in order: one fit per distinct C, along one path (`_fit_path`)."""
+    Cs = sorted(set(stages))
+    models = _fit_path(X, y, [replace(key, C=C) for C in Cs])
+    predictions = {C: model.predict(X_new) for C, model in zip(Cs, models)}
+    return [predictions[C] for C in stages]
+
+
+def _fit_path(X, y, path: list[SvrParams]) -> list[SvrModel]:
+    """The model of each params of path, which differ only in C and ascend
+    in it, bit for bit the model a fit of those params alone gives: the Gram
+    matrix is built once, and each SMO run resumes from the prefix of the
+    run before it (`_kernels.smo_solve`); the first starts cold.
+    """
     X, y = check_inputs(X, y, None)
     with np.errstate(over="ignore", invalid="ignore"):
-        K = gram_matrix(params, X, X)
+        K = gram_matrix(path[0], X, X)
     if not np.isfinite(K).all():
-        raise ValueError(f"{params.kernel} kernel matrix is not finite (overflow)")
-    beta, max_up, min_low, n_iter, converged = _kernels.smo_solve(
-        K, y, float(params.C), float(params.epsilon), float(params.tol), int(params.max_passes)
-    )
-    if not converged:
-        warnings.warn(
-            f"SMO hit the iteration cap ({params.max_passes}); "
-            f"residual {max_up - min_low:.3e} > tol {params.tol:g}",
-            SvrConvergenceWarning,
-            stacklevel=2,
+        raise ValueError(f"{path[0].kernel} kernel matrix is not finite (overflow)")
+    models, prefix = [], None
+    for params in path:
+        beta, max_up, min_low, n_iter, converged, prefix = _kernels.smo_solve(
+            K, y, float(params.C), float(params.epsilon), float(params.tol),
+            int(params.max_passes), prefix,
         )
-
-    free = (beta != 0.0) & (np.abs(beta) < params.C)
-    if free.any():
-        e = y - K @ beta
-        bias = float(
-            np.mean(e[free] - params.epsilon * np.sign(beta[free]))
-        )
-    else:
-        # Midpoint of the feasible bias interval [min_low, max_up].
-        bias = 0.5 * (max_up + min_low)
-
-    keep = beta != 0.0
-    return SvrModel(
-        support_vectors=X[keep].copy(),
-        dual_coefs=beta[keep].copy(),
-        bias=float(bias),
-        params=params,
-        converged=bool(converged),
-        n_iter=int(n_iter),
-    )
+        if not converged:
+            warnings.warn(
+                f"SMO hit the iteration cap ({params.max_passes}); "
+                f"residual {max_up - min_low:.3e} > tol {params.tol:g}",
+                SvrConvergenceWarning,
+                stacklevel=3,
+            )
+        free = (beta != 0.0) & (np.abs(beta) < params.C)
+        if free.any():
+            e = y - K @ beta
+            bias = float(np.mean(e[free] - params.epsilon * np.sign(beta[free])))
+        else:
+            # Midpoint of the feasible bias interval [min_low, max_up].
+            bias = 0.5 * (max_up + min_low)
+        keep = beta != 0.0
+        models.append(SvrModel(X[keep].copy(), beta[keep].copy(), bias, params, converged, n_iter))
+    return models
 
 
 # The model file's "kernel" section: each SvrParams field under its key, kind first.

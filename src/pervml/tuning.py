@@ -4,6 +4,14 @@ The search sees only the training slice; folds are drawn once per search
 from a seeded shuffle and shared by every combination. Ties on mean MSE are
 broken by grid iteration order (axes iterated in declaration order), and
 every non-finite mean (a failed combination, a NaN score) ranks last.
+
+Combinations share fits by one rule: `fit_key` splits a family's params into
+a fit key and a stage (gbrt's n_estimators, svr's C), and each fold makes one
+`stage_predictions` call per fit key for its members' holdout predictions.
+gbrt grows the largest stage's trees and reads each stage from
+`staged_predict`; svr builds the training Gram matrix once and solves the C
+values in ascending order, each SMO run resuming from the prefix of the run
+before it. Each prediction is bit for bit that of the member's own fit.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from types import ModuleType
 
 import numpy as np
 
-from . import _kernels, gbrt, svr
+from . import gbrt, svr
 from .data import FEATURE_COLUMNS, Dataset, Scaler
 from .metrics import mse
 from .modelio import field_types
@@ -24,8 +32,8 @@ from .modelio import field_types
 
 @dataclass(frozen=True)
 class ModelFamily:
-    """A model family: the module whose fit / save_model / load_model serve
-    it, its params class and its shipped default search space."""
+    """A model family: the module whose fit / stage_predictions / save_model /
+    load_model serve it, its params class and its shipped default search space."""
 
     module: ModuleType
     params: type
@@ -136,7 +144,7 @@ def make_params(family: str, combination: dict, seed: int | None = None):
 
 
 def fit_model(family: str, X, y, params, feature_names=None):
-    """Fit one model of `family`: the single entry to every family's fit."""
+    """Fit one model of `family`; the search fits through `stage_predictions`."""
     return _family(family).module.fit(X, y, params, feature_names=feature_names)
 
 
@@ -165,28 +173,21 @@ def grid_search(
     A combination whose params or fit raise is recorded with its error and
     ranked last, as is one whose mean is NaN; the search continues.
     Everything runs in normalized space; results keep grid iteration order.
-    While it scores the grid, SMO runs share their prefixes across C
-    (`_kernels._smo_prefixes` is a dict); the store is dropped when it
-    returns or raises, so no other fit sees it.
+    Combinations that share a fit key share their fits (module docstring).
     """
     folds = kfold_indices(train.y.shape[0], k, seed)
     results = [CvResult(combination=dict(c)) for c in grid.combinations()]
-    groups: dict[str, list] = {}
+    groups: dict[str, tuple] = {}
     for result in results:
         try:
-            params = make_params(grid.family, result.combination, seed=seed)
-            key, stage = params.fit_key()
+            key, stage = make_params(grid.family, result.combination, seed=seed).fit_key()
         except Exception as exc:  # noqa: BLE001 - search must survive bad combos
             _record_error(result, exc)
             continue
         # repr tells 1 from 1.0 and 0.0 from -0.0, so shared fits are exact.
-        groups.setdefault(repr(key), []).append((result, params, stage))
-    _kernels._smo_prefixes = {}
-    try:
-        for members in groups.values():
-            _score_group(train, grid.family, folds, members)
-    finally:
-        _kernels._smo_prefixes = None
+        groups.setdefault(repr(key), (key, []))[1].append((result, stage))
+    for key, members in groups.values():
+        _score_group(train, grid.family, folds, key, members)
 
     order = sorted(range(len(results)), key=lambda i: _rank_key(results[i].mean_mse, i))
     for rank, idx in enumerate(order, start=1):
@@ -209,34 +210,28 @@ def _record_error(result: CvResult, exc: Exception):
     result.mean_mse = float("inf")
 
 
-def _score_group(train: TargetSlice, family: str, folds, members):
-    """Cross-validate (result, params, stage) triples that share a fit key.
-
-    Each fold fits the member with the largest stage and scores every member
-    from `staged_predict` at its own stage. An exception in a fold fails
-    every member.
-    """
-    stages = [stage for _, _, stage in members]
-    params = members[stages.index(max(stages))][1]
+def _score_group(train: TargetSlice, family: str, folds, key, members):
+    """Cross-validate the (result, stage) pairs of one fit key, with one
+    `stage_predictions` call per fold. An exception in a fold fails them all."""
+    stages = [stage for _, stage in members]
+    stage_predictions = _family(family).module.stage_predictions
     n = train.y.shape[0]
     scores: list[list[float]] = [[] for _ in members]
     try:
         for fold in folds:
             holdout = np.zeros(n, dtype=bool)
             holdout[fold] = True
-            model = fit_model(
-                family, train.X[~holdout], train.y[~holdout], params, FEATURE_COLUMNS
+            y_hold = train.y[holdout]
+            predictions = stage_predictions(
+                train.X[~holdout], train.y[~holdout], key, stages, train.X[holdout]
             )
-            X_hold, y_hold = train.X[holdout], train.y[holdout]
-            for stage, prediction in enumerate(model.staged_predict(X_hold)):
-                for member, member_stage in enumerate(stages):
-                    if member_stage == stage:
-                        scores[member].append(mse(y_hold, prediction))
+            for member_scores, prediction in zip(scores, predictions):
+                member_scores.append(mse(y_hold, prediction))
     except Exception as exc:  # noqa: BLE001 - search must survive bad combos
-        for result, _, _ in members:
+        for result, _ in members:
             _record_error(result, exc)
         return
-    for (result, _, _), fold_scores in zip(members, scores):
+    for (result, _), fold_scores in zip(members, scores):
         result.fold_mse = fold_scores
         result.mean_mse = float(np.mean(fold_scores))
 

@@ -499,7 +499,9 @@ class TestTune:
         }
 
     @pytest.mark.parametrize(
-        "model, grid", [("gbrt", "eta = 0.3, 0.5"), ("svr", "C = 1, 2")], ids=["gbrt", "svr"]
+        "model, grid",
+        [("gbrt", "eta = 0.3, 0.5"), ("svr", "gamma = 0.1, 0.5")],
+        ids=["gbrt", "svr"],
     )
     def test_without_a_compiler_builds_once(
         self, tmp_path, capsys, cold_smo_cache, no_compiler, monkeypatch, model, grid

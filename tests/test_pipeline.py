@@ -176,3 +176,45 @@ class TestReproReport:
         monkeypatch.setattr(pipeline, "load_reference", counted_load_reference)
         reproduce(bundled)
         assert len(parses) == 1
+
+
+def tightened_report(bundled, monkeypatch, **bands):
+    """reproduce with `bands` in place of the shipped values of those bands."""
+    original = pipeline.load_reference
+
+    def tightened_reference():
+        ref = original()
+        ref["bands"].update(bands)
+        return ref
+
+    monkeypatch.setattr(pipeline, "load_reference", tightened_reference)
+    return reproduce(bundled)
+
+
+class TestBandFailures:
+    def test_gbrt_test_rmse(self, bundled, monkeypatch):
+        report = tightened_report(bundled, monkeypatch, gbrt_test_rmse_factor=0.0)
+        assert [f.partition(" is ")[0] for f in report.band_failures] == [
+            f"gbrt test RMSE for {target}" for target in TARGET_COLUMNS
+        ]
+        assert all(f.endswith(" > band 0.0000") for f in report.band_failures)
+
+    def test_gbrt_train_r2(self, bundled, monkeypatch):
+        report = tightened_report(bundled, monkeypatch, gbrt_min_train_r2=1.5)
+        assert report.band_failures == [
+            f"gbrt train R2 for {target} is {report.runs[('gbrt', target)].train_report.r2} < 1.5"
+            for target in ("compressive", "tensile", "porosity")
+        ]
+
+    def test_cement_mean_rank(self, bundled, monkeypatch):
+        report = tightened_report(bundled, monkeypatch, min_cement_mean_rank_wins=5)
+        assert report.band_failures == [
+            f"cement has the best mean importance rank in only "
+            f"{report.cement_mean_rank_wins}/4 models (need 5)"
+        ]
+
+    def test_cement_gain_rank1(self, bundled, monkeypatch):
+        report = tightened_report(bundled, monkeypatch, min_cement_gain_rank1_wins=5)
+        assert report.band_failures == [
+            f"cement has gain rank 1 in only {report.cement_gain_rank1_wins}/4 models (need 5)"
+        ]

@@ -290,7 +290,8 @@ def smo_oracle(K, y, C, eps, tol, max_iter):
 
 
 def smo_bits(result) -> tuple:
-    beta, max_up, min_low, n_iter, converged = result
+    """The bits of smo_solve's or smo_oracle's first five fields."""
+    beta, max_up, min_low, n_iter, converged = result[:5]
     assert isinstance(beta, np.ndarray) and beta.dtype == np.float64
     return beta.tobytes(), repr(float(max_up)), repr(float(min_low)), n_iter, converged
 
@@ -342,14 +343,14 @@ def smo_c_paths(draw):
 
 
 def solve_in_order(problem, Cs):
-    """smo_solve on `problem` at each C of Cs in turn, with the prefix store
-    live as grid_search keeps it; returns the results and the store."""
+    """smo_solve on `problem` at each C of Cs in turn, each call handed the
+    prefix the call before it returned."""
     K, y, _, eps, tol, max_iter = problem
-    _kernels._smo_prefixes = store = {}
-    try:
-        return [smo_solve(K, y, C, eps, tol, max_iter) for C in Cs], store
-    finally:
-        _kernels._smo_prefixes = None
+    results, prefix = [], None
+    for C in Cs:
+        results.append(smo_solve(K, y, C, eps, tol, max_iter, prefix))
+        prefix = results[-1][5]
+    return results
 
 
 def compressive_fold_problem():
@@ -441,26 +442,26 @@ class TestSmoMatchesOracle:
     def test_prefix_sharing_is_bit_identical(self, path):
         problem, Cs = path
         K, y, _, eps, tol, max_iter = problem
-        shared, _ = solve_in_order(problem, Cs)
-        for C, result in zip(Cs, shared):
+        for C, result in zip(Cs, solve_in_order(problem, Cs)):
             cold = (K, y, C, eps, tol, max_iter)
             assert smo_bits(result) == smo_bits(smo_solve(*cold)) == smo_bits(smo_oracle(*cold))
 
-    def test_store_keeps_the_largest_c_prefix(self):
-        problem = compressive_fold_problem()
-        K, y, _, eps, tol, max_iter = problem
-        _, store = solve_in_order(problem, [39.0])
-        ((_, prefix),) = store[(K.tobytes(), y.tobytes())].items()
+    def test_larger_c_returns_a_prefix_at_least_as_long(self):
+        K, y, _, eps, tol, max_iter = compressive_fold_problem()
+        prefix = smo_solve(K, y, 39.0, eps, tol, max_iter)[5]
         assert prefix[0] == 39.0 and prefix[1] > 0
-        _, store = solve_in_order(problem, [39.0, 200.0, 1.0])
-        ((_, longer),) = store[(K.tobytes(), y.tobytes())].items()
+        longer = smo_solve(K, y, 200.0, eps, tol, max_iter, prefix)[5]
         assert longer[0] == 200.0 and longer[1] >= prefix[1]
+        # A run's prefix does not depend on the prefix it resumed from.
+        cold = smo_solve(K, y, 200.0, eps, tol, max_iter)[5]
+        assert cold[:2] == longer[:2] and cold[2].tobytes() == longer[2].tobytes()
 
     def test_empty_problem(self):
         problem = (np.empty((0, 0)), np.empty(0), 1.0, 0.1, 1e-3, 100)
-        beta, max_up, min_low, n_iter, converged = smo_solve(*problem)
+        beta, max_up, min_low, n_iter, converged, prefix = smo_solve(*problem)
         assert beta.shape == (0,)
         assert (max_up, min_low, n_iter, converged) == (-np.inf, np.inf, 0, True)
+        assert prefix[:2] == (1.0, 0) and prefix[2].shape == (0,)
         assert smo_bits(smo_solve(*problem)) == smo_bits(smo_oracle(*problem))
 
 
@@ -491,6 +492,11 @@ class TestSmoInputs:
         K, y = convert(K), convert(y)
         oracle = smo_oracle(np.array(K, dtype=np.float64), np.array(y, dtype=np.float64), *rest)
         assert smo_bits(smo_solve(K, y, *rest)) == smo_bits(oracle)
+
+    def test_prefix_of_another_problem_size_raises(self):
+        *_, prefix = smo_solve(np.eye(3), np.array([-0.2, 0.9, 0.1]), 1.0, 0.0, 1e-3, 100)
+        with pytest.raises(ValueError, match="prefix holds 6 values; 2 coefficient"):
+            smo_solve(np.eye(2), np.array([1.0, -1.0]), 1.0, 0.0, 1e-3, 100, prefix)
 
     def test_huge_max_iter_is_not_wrapped(self):
         # 2**64 + 5 wraps to 5 in a 64-bit integer; this problem needs 32,475 steps.

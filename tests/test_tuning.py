@@ -221,8 +221,8 @@ ORACLE_GRIDS = {
             "max_passes": (50,),
         },
     ),
-    # SMO runs share prefixes across C (_kernels._smo_prefixes): C = 200
-    # runs first, so C = 1 and C = 39 must not take its prefix.
+    # Each path solves its C values in ascending order, whatever the axis
+    # order: C = 200 is listed first.
     "svr_c_unsorted": (
         "svr",
         {"C": (200.0, 1.0, 39.0), "epsilon": (0.1,), "kernel": ("rbf", "sigmoid"), "gamma": (0.11,)},
@@ -231,6 +231,19 @@ ORACLE_GRIDS = {
     "svr_cap_hits": (
         "svr",
         {"C": (1.0, 39.0, 200.0), "epsilon": (0.01, 0.1), "kernel": ("linear",), "max_passes": (300,)},
+    ),
+    # 39 and 39.0 are one stage, listed apart and out of order. rbf reads
+    # neither degree nor coef0, so its 8 combinations are one path; degree
+    # 400 overflows the Gram matrix and fails its whole path.
+    "svr_c_repeated": (
+        "svr",
+        {
+            "C": (39, 3.0, 39.0, 1.0),
+            "kernel": ("polynomial", "rbf"),
+            "degree": (400, 2),
+            "gamma": (0.5,),
+            "coef0": (1.0,),
+        },
     ),
     # Degree 400 overflows the Gram matrix: a failed fit, listed first.
     "nan_score_first": (
@@ -279,8 +292,9 @@ class TestSharedFitsMatchUnshared:
     @pytest.mark.parametrize(
         "axes, fit_keys",
         [
-            # linear ignores gamma: 2 + 4 keys, not 8 combinations
-            ({"kernel": ("linear", "rbf"), "gamma": (0.1, 0.5), "C": (1.0, 10.0)}, 2 + 4),
+            # linear ignores gamma, and C is the stage: 1 + 2 paths, not 8
+            # combinations
+            ({"kernel": ("linear", "rbf"), "gamma": (0.1, 0.5), "C": (1.0, 10.0)}, 1 + 2),
             # linear 1; polynomial 4 gammas x 2 coef0 x 2 degrees; rbf 3 (gamma
             # 0.0 fails before fitting); sigmoid 4 gammas x 2 coef0
             (ORACLE_GRIDS["mixed_kernels"][1], 1 + 16 + 3 + 8),
@@ -288,61 +302,53 @@ class TestSharedFitsMatchUnshared:
         ids=["linear_rbf", "mixed_kernels"],
     )
     def test_one_svr_fit_per_fit_key_and_fold(self, train_slices, monkeypatch, axes, fit_keys):
-        calls = count_fits(monkeypatch, svr)
+        # A fit key's fit is its C path, which builds one training Gram matrix.
+        builds = [0]
+        gram = svr.gram_matrix
+
+        def counting_gram(params, X1, X2):
+            builds[0] += X1 is X2
+            return gram(params, X1, X2)
+
+        monkeypatch.setattr(svr, "gram_matrix", counting_gram)
         grid_search(train_slices["density"], HyperGrid(family="svr", axes=axes), k=5, seed=42)
-        assert calls[0] == fit_keys * 5
+        assert builds[0] == fit_keys * 5
 
 
-def record_smo_stores(monkeypatch):
-    """The SMO prefix store each smo_solve call sees from here on."""
+def record_prefixes(monkeypatch):
+    """(C, prefix handed in, prefix returned) of each smo_solve call from here on."""
     seen = []
     solve = _kernels.smo_solve
 
-    def recording_solve(*args):
-        seen.append(_kernels._smo_prefixes)
-        return solve(*args)
+    def recording_solve(K, y, C, eps, tol, max_iter, prefix=None):
+        result = solve(K, y, C, eps, tol, max_iter, prefix)
+        seen.append((C, prefix, result[5]))
+        return result
 
     monkeypatch.setattr(_kernels, "smo_solve", recording_solve)
     return seen
 
 
-class TestSmoPrefixStore:
-    def test_live_during_search_only(self, train_slices, monkeypatch):
-        seen = record_smo_stores(monkeypatch)
-        grid = HyperGrid(family="svr", axes={"C": (1.0, 10.0), "gamma": (0.11,)})
+class TestSmoPrefixes:
+    def test_search_chains_each_path(self, train_slices, monkeypatch):
+        seen = record_prefixes(monkeypatch)
+        grid = HyperGrid(family="svr", axes={"C": (10.0, 1.0, 39.0), "gamma": (0.11, 0.5)})
         grid_search(train_slices["compressive"], grid, k=5, seed=42)
-        assert len(seen) == 10 and all(store is seen[0] for store in seen)
-        assert isinstance(seen[0], dict) and seen[0]
-        assert _kernels._smo_prefixes is None
+        assert [C for C, _, _ in seen] == [1.0, 10.0, 39.0] * 2 * 5  # 2 paths x 5 folds
+        previous = None
+        for C, handed, returned in seen:
+            assert handed is (None if C == 1.0 else previous)
+            previous = returned
 
-    def test_dropped_when_every_combination_fails(self, train_slices):
-        grid = HyperGrid(
-            family="svr",
-            axes={"kernel": ("polynomial",), "degree": (400,), "gamma": (10.0,), "coef0": (1.0,)},
-        )
-        with pytest.raises(RuntimeError, match="every grid combination failed"):
-            grid_search(train_slices["compressive"], grid, k=5, seed=42)
-        assert _kernels._smo_prefixes is None
-
-    def test_dropped_when_scoring_raises(self, train_slices, monkeypatch):
-        # The search records an Exception as a failed combination, so only a
-        # BaseException such as KeyboardInterrupt leaves it while scoring.
-        def interrupted_fit(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(tuning, "fit_model", interrupted_fit)
-        grid = HyperGrid(family="svr", axes={"C": (1.0,)})
-        with pytest.raises(KeyboardInterrupt):
-            grid_search(train_slices["compressive"], grid, k=5, seed=42)
-        assert _kernels._smo_prefixes is None
-
-    def test_fits_outside_a_search_start_cold(self, bundled, train_slices, tmp_path, monkeypatch):
-        seen = record_smo_stores(monkeypatch)
+    def test_fits_outside_a_search_pass_no_prefix(
+        self, bundled, train_slices, tmp_path, monkeypatch
+    ):
+        seen = record_prefixes(monkeypatch)
         refit_best(train_slices["tensile"], "svr", {"C": 39.0, "gamma": 0.11})
         assert cli.run(["train", "--model", "svr", "--out", str(tmp_path)]) == 0
         pipeline.reproduce(bundled)
         assert len(seen) == 1 + 1 + 4
-        assert all(store is None for store in seen)
+        assert all(handed is None for _, handed, _ in seen)
 
 
 class TestNonFiniteRanking:
@@ -384,6 +390,16 @@ class TestNonFiniteRanking:
         assert results[0].mean_mse == math.inf
         assert [r.rank for r in results] == [2, 1]
         assert best == {"C": 10.0}
+
+    def test_every_combination_failing_raises(self, train_slices):
+        # Degree 400 overflows the Gram matrix, failing both C values' path.
+        grid = HyperGrid(
+            family="svr",
+            axes={"C": (1.0, 10.0), "kernel": ("polynomial",), "degree": (400,), "gamma": (10.0,)},
+        )
+        with pytest.raises(RuntimeError, match="every grid combination failed") as failed:
+            grid_search(train_slices["compressive"], grid, k=5, seed=42)
+        assert "polynomial kernel matrix is not finite" in str(failed.value)
 
 
 class TestRefit:
