@@ -1,5 +1,6 @@
 /* Boosted regression trees: the rounds of gbrt.fit, the grower behind
-   gbrt.build_tree and the split scan behind _kernels.best_split_kernel.
+   gbrt.build_tree, the split scan behind _kernels.best_split_kernel and the
+   walk behind TreeEnsemble.predict_stages.
 
    Built with -ffp-contract=off and without -ffast-math, so every operation
    below rounds once, as an IEEE double, in the order written: the trees are
@@ -195,7 +196,7 @@ static int64_t scan(const Fit *f, const int64_t *columns, int64_t k,
     return best_col;
 }
 
-/* Stable partition of a[0..m) by col[r] <= thr, the test predict_tree
+/* Stable partition of a[0..m) by col[r] <= thr, the test pervml_gbrt_predict
    applies; returns the size of the left part. */
 static int64_t partition(int64_t *a, int64_t m, const double *col, double thr,
                          int64_t *tmp)
@@ -331,9 +332,10 @@ int64_t pervml_gbrt_grow(int64_t n, const double *cols, const int64_t *orders,
    prediction. A tree that left every prediction's bits unchanged is stored
    under its draw, and a later round with that draw repeats it instead of
    growing one; a tree that changed any prediction empties the store.
-   spans[2r], spans[2r + 1] receive the node range of round r's tree and
-   grown[r] whether round r grew it. Returns the number of nodes written,
-   -1 when the table is full or -2 when memory runs out. */
+   spans[2r], spans[2r + 1] receive the node range of round r's tree: a
+   repeated tree's is the range of the round that grew it. Returns the
+   number of nodes written, -1 when the table is full or -2 when memory
+   runs out. */
 int64_t pervml_gbrt_fit(int64_t n, const double *cols, const int64_t *orders,
                         const double *y, int64_t n_rows,
                         const int64_t *draw_rows, int64_t k,
@@ -342,7 +344,7 @@ int64_t pervml_gbrt_fit(int64_t n, const double *cols, const int64_t *orders,
                         int64_t max_depth, double eta, double gamma,
                         double reg_lambda, double reg_alpha, double base_score,
                         int64_t capacity, int64_t *links, double *nodes,
-                        int64_t *spans, int8_t *grown)
+                        int64_t *spans)
 {
     Fit f = {n, cols, orders, max_depth, gamma, reg_lambda, reg_alpha};
     Nodes t;
@@ -371,7 +373,6 @@ int64_t pervml_gbrt_fit(int64_t n, const double *cols, const int64_t *orders,
         if (repeat >= 0) {
             spans[2 * r] = spans[2 * repeat];
             spans[2 * r + 1] = spans[2 * repeat + 1];
-            grown[r] = 0;
             continue;
         }
         for (i = 0; i < n; i++)
@@ -399,7 +400,6 @@ int64_t pervml_gbrt_fit(int64_t n, const double *cols, const int64_t *orders,
             next[i] = preds[i] + value[leaf_of[i]];
         spans[2 * r] = start;
         spans[2 * r + 1] = start + size;
-        grown[r] = 1;
 
         /* Bits, not ==: a leaf of 0.0 turns a prediction of -0.0 into 0.0. */
         if (memcmp(next, preds, (size_t)n * sizeof(double)) == 0) {
@@ -416,4 +416,56 @@ int64_t pervml_gbrt_fit(int64_t n, const double *cols, const int64_t *orders,
     free(leaf_of);
     work_free(&w);
     return status < 0 ? status : t.size;
+}
+
+/* TreeEnsemble.predict_stages: the n rows of X (row major, d values each)
+   through the ensemble whose round r is the tree at [spans[2r],
+   spans[2r + 1]) of node tables of size nodes, numbered as grow numbers
+   them. A row goes left where its value is <= the threshold, the test of
+   partition. Stage s is base_score plus the leaf values of rounds 0..s-1,
+   added one at a time as acc + leaf, and out[j*n + i] receives row i's
+   stage stages[j]; the stages may come in any order and repeat. Returns 0,
+   or -1 when a span leaves the tables, a split feature is d or more, or a
+   child does not lie after its parent inside its tree: then the walk reads
+   nothing outside the tables and cannot loop. */
+int64_t pervml_gbrt_predict(int64_t n, int64_t d, const double *X,
+                            int64_t size, const int64_t *links,
+                            const double *nodes, const int64_t *spans,
+                            double base_score, int64_t n_stages,
+                            const int64_t *stages, double *out)
+{
+    const int64_t *feature = links, *right = links + size;
+    const double *threshold = nodes, *value = nodes + 3 * size;
+    int64_t i, j, r, rounds = 0;
+
+    for (j = 0; j < n_stages; j++)
+        if (stages[j] > rounds)
+            rounds = stages[j];
+    for (r = 0; r < rounds; r++)
+        if (!(0 <= spans[2 * r] && spans[2 * r] < spans[2 * r + 1]
+              && spans[2 * r + 1] <= size))
+            return -1;
+    for (i = 0; i < n; i++) {
+        const double *x = X + i * d;
+        double acc = base_score;
+        for (r = 0;; r++) {
+            for (j = 0; j < n_stages; j++)
+                if (stages[j] == r)
+                    out[j * n + i] = acc;
+            if (r == rounds)
+                break;
+            int64_t start = spans[2 * r], len = spans[2 * r + 1] - start;
+            int64_t node = 0, f, next;
+            while ((f = feature[start + node]) >= 0) {
+                if (f >= d)
+                    return -1;
+                next = x[f] <= threshold[start + node] ? node + 1 : right[start + node];
+                if (next <= node || next >= len)
+                    return -1;
+                node = next;
+            }
+            acc += value[start + node];
+        }
+    }
+    return 0;
 }

@@ -1,6 +1,6 @@
-"""The compiled kernels: the gbrt boosting rounds and the SMO dual solver.
+"""The compiled kernels: gbrt's boosting rounds and tree walk, and the SMO solver.
 
-Both loops are C (`_gbrt.c`, `_smo.c`), built into one library with `cc`
+The loops are C (`_gbrt.c`, `_smo.c`), built into one library with `cc`
 at the first call that needs it and cached in this package's `__pycache__`
 under the hash of the sources, the flags and the machine. Without a C
 compiler the first call raises RuntimeError naming the command, and every
@@ -11,9 +11,10 @@ written, so each loop returns bit for bit what the same loop returns on
 Python floats or numpy scalars; the tests keep those loops as the oracles.
 The compiled loops are the only implementation.
 
-`gbrt.fit` makes one call per fit, which runs every boosting round;
-`best_split_kernel` and `gbrt.build_tree` enter the same scan and grower
-for one node or one tree.
+`gbrt.fit` makes one call per fit, which runs every boosting round, and
+`gbrt.TreeEnsemble.predict_stages` one, which walks every row through the
+node tables; `best_split_kernel` and `gbrt.build_tree` enter the same scan
+and grower for one node or one tree.
 
 SMO's pass walks the coefficients once per iteration: that pass both adds
 the last step to v = K @ beta and selects the next pair. SMO keeps each
@@ -137,10 +138,11 @@ def _load(cache):
     )
     lib.pervml_gbrt_fit.argtypes = (
         i64, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, i64, ptr,
-        i64, f64, f64, f64, f64, f64, i64, ptr, ptr, ptr, ptr,
+        i64, f64, f64, f64, f64, f64, i64, ptr, ptr, ptr,
     )
-    for fn in (lib.pervml_gbrt_best_split, lib.pervml_gbrt_grow, lib.pervml_gbrt_fit):
-        fn.restype = i64
+    lib.pervml_gbrt_predict.argtypes = (i64, i64, ptr, i64, ptr, ptr, ptr, f64, i64, ptr, ptr)
+    for name in ("best_split", "grow", "fit", "predict"):
+        getattr(lib, f"pervml_gbrt_{name}").restype = i64
     return lib
 
 

@@ -87,12 +87,14 @@ def importance(model: TreeEnsemble) -> ImportanceReport:
     gain = np.zeros(d)
     weight = np.zeros(d)
     cover = np.zeros(d)
-    for tree in model.trees:
-        for feature, node_gain, node_cover in zip(tree.feature, tree.gain, tree.cover):
-            if feature >= 0:
-                weight[feature] += 1
-                gain[feature] += node_gain
-                cover[feature] += node_cover
+    feature, _ = model.links.tolist()
+    _, node_gain, node_cover, _ = model.nodes.tolist()
+    for start, stop in model.spans.tolist():  # in round order
+        for i in range(start, stop):
+            if feature[i] >= 0:
+                weight[feature[i]] += 1
+                gain[feature[i]] += node_gain[i]
+                cover[feature[i]] += node_cover[i]
     used = weight > 0
     gain[used] /= weight[used]
     cover[used] /= weight[used]

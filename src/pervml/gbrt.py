@@ -9,15 +9,18 @@ gain (which already subtracts the per-leaf penalty gamma) is positive.
 Squared-error loss throughout: gradient y_hat - y and hessian 1, so a
 node's hessian sum H is its row count and no hessian array is kept.
 
-Each tree is one node table (`Tree`): six parallel lists `feature`,
-`threshold`, `gain`, `cover` (row count), `value` and `right`, numbered in
-depth-first pre-order with the left child first. The root is node 0, an
-internal node's left child is node + 1 (so no list stores it) and its right
-child follows the left subtree, so every child's number is greater than its
-parent's. A leaf has feature -1 and right -1; an internal node has value 0.
-Pre-order lets growth, prediction, importance and the nested model JSON each
-work from one loop or one explicit stack, visiting nodes in the order a
-recursive walk would, so sums over nodes keep their order.
+An ensemble is its node tables (`TreeEnsemble`): `links` holds each node's
+`feature` and `right`, `nodes` its `threshold`, `gain`, `cover` (row count)
+and `value`, and `spans` one [start, stop) range of them per round. Within
+its span a tree is numbered in depth-first pre-order, left child first: the
+root is node 0, an internal node's left child is node + 1 (so no table
+stores it) and its right child follows the left subtree, so every child's
+number is greater than its parent's. A leaf has feature -1 and right -1; an
+internal node has value 0. Pre-order lets growth, prediction, importance
+and the nested model JSON each work from one loop or one explicit stack,
+visiting nodes in the order a recursive walk would, so sums over nodes keep
+their order. Prediction, too, walks the tables in C; `Tree` copies one span
+out as lists, for inspection only.
 
 `fit` and `predict` check X and y with `modelio.check_inputs`, the one input
 rule of both model families.
@@ -33,20 +36,20 @@ split scan reads the orders directly. A stable order restricted to a
 node's rows is the stable sort of those rows, so the trees are those a
 per-node sort gives, bit for bit; a leaf sums its gradients as numpy's
 pairwise sum would. The rows that subsampling left out ride along: each
-split partitions them with the same threshold test `predict_tree`
-applies, so they end in the leaf a walk of the new tree would reach
-(XGBoost's prediction cache, updated from the row partition of growth).
-Every row takes its prediction update from its leaf, and `fit` walks no
-tree. Python keeps the input check, the presort, the draws and the `Tree`
-lists built from the node tables the call returns. `build_tree` grows one
-tree with the same C grower.
+split partitions them with the same threshold test prediction applies,
+so they end in the leaf a walk of the new tree would reach (XGBoost's
+prediction cache, updated from the row partition of growth). Every row
+takes its prediction update from its leaf, and `fit` walks no tree. Python
+keeps the input check, the presort and the draws; the ensemble keeps the
+node tables the call returns. `build_tree` grows one tree with the same C
+grower.
 
 While the training predictions keep their bits, so do the gradients, so a
 tree is a pure function of its round's draw of rows and columns. `fit`
 therefore keeps each tree that changed no prediction's bits under its
-draw, and a later round with the same draw appends a copy of it and grows
-nothing. A tree that changes any prediction empties the store, since the
-gradients have moved. A draw-free fit (subsample = colsample_bytree = 1)
+draw, and a later round with the same draw points at that tree's span and
+grows nothing. A tree that changes any prediction empties the store, since
+the gradients have moved. A draw-free fit (subsample = colsample_bytree = 1)
 has one draw, so it stops growing at its first tree that changes no
 prediction; a fit that draws only columns stops once each of its few
 column subsets has grown such a tree. The test is on the bits, not on ==,
@@ -103,14 +106,16 @@ class GbrtParams:
             raise ValueError("colsample_bytree must be in (0, 1]")
 
     def fit_key(self):
-        """(params of the fit, stage): n_estimators = k is stage k of a fit with
-        more trees and otherwise equal params (see `stage_predictions`)."""
-        return replace(self, n_estimators=0), self.n_estimators
+        """The params of the fit that serves every n_estimators: the first k
+        trees of a fit are the fit with n_estimators = k and otherwise equal
+        params (see `stage_predictions`)."""
+        return replace(self, n_estimators=0)
 
 
 @dataclass
 class Tree:
-    """One regression tree as a pre-order node table (see the module docstring)."""
+    """One tree's span of the node tables, copied out as lists (see the
+    module docstring); nothing fits, predicts or scores with one."""
 
     feature: list[int] = field(default_factory=list)
     threshold: list[float] = field(default_factory=list)
@@ -120,59 +125,66 @@ class Tree:
     right: list[int] = field(default_factory=list)
 
 
-def _add_node(
-    tree: Tree, parent: int, feature=-1, threshold=0.0, gain=0.0, cover=0.0, value=0.0
-) -> int:
-    """Append the next node in pre-order; `parent` >= 0 marks a right child."""
-    node = len(tree.feature)
-    if parent >= 0:
-        tree.right[parent] = node
-    tree.feature.append(feature)
-    tree.threshold.append(threshold)
-    tree.gain.append(gain)
-    tree.cover.append(cover)
-    tree.value.append(value)
-    tree.right.append(-1)
-    return node
+def _tree(links, nodes, start, stop) -> Tree:
+    feature, right = links[:, start:stop].tolist()
+    return Tree(feature, *nodes[:, start:stop].tolist(), right)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeEnsemble:
-    """An additive stack of regression trees over normalized features.
-
-    Leaf values are already scaled by the learning rate at fit time, so
-    prediction is base_score plus a plain sum over trees.
+    """An additive stack of regression trees over normalized features, as
+    node tables (module docstring) kept as read-only C-ordered copies. Leaf
+    values are already scaled by the learning rate at fit time, so
+    prediction is base_score plus a plain sum over rounds.
     """
 
     base_score: float
     eta: float
     feature_names: tuple[str, ...]
-    trees: list[Tree] = field(default_factory=list)
+    links: np.ndarray
+    nodes: np.ndarray
+    spans: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("links", np.int64), ("nodes", np.float64), ("spans", np.int64)):
+            table = np.array(getattr(self, name), dtype=dtype, order="C")
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+        links, nodes, spans = self.links.shape, self.nodes.shape, self.spans.shape
+        if links != (2, *links[1:2]) or nodes != (4, *links[1:2]) or spans[1:] != (2,):
+            raise ValueError("node tables must be links (2, n), nodes (4, n), spans (rounds, 2)")
 
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
 
+    @property
+    def trees(self) -> list[Tree]:
+        """Each round's tree, copied out of the tables."""
+        return [_tree(self.links, self.nodes, a, b) for a, b in self.spans.tolist()]
+
     def predict(self, X) -> np.ndarray:
-        """base_score plus every tree: the last stage of `staged_predict`."""
-        for out in self.staged_predict(X):
-            pass
-        return out
+        """base_score plus every round: the last stage of `predict_stages`."""
+        return self.predict_stages(X, [len(self.spans)])[0]
 
-    def staged_predict(self, X):
-        """Predictions after 0, 1, ..., len(trees) trees, each a new array.
-
-        The first k trees of an ensemble are the ensemble `fit` grows with
-        n_estimators = k, so stage k is that smaller model's prediction,
-        bit for bit; `predict` is the last stage.
+    def predict_stages(self, X, stages) -> np.ndarray:
+        """One row per stage k of stages (in [0, rounds], any order, repeats
+        allowed): base_score plus the leaf values of rounds 0..k-1, added in
+        round order. The first k rounds are the ensemble `fit` grows with
+        n_estimators = k, so stage k is that model's prediction, bit for bit.
+        One call to C walks every row; tables that would lead it outside
+        themselves raise ValueError.
         """
-        X, _ = check_inputs(X, None, self.n_features)
-        rows = X.tolist()
-        out = np.full(X.shape[0], self.base_score, dtype=float)
-        yield out
-        for tree in self.trees:
-            out = out + predict_tree(tree, rows)
-            yield out
+        X = np.ascontiguousarray(check_inputs(X, None, self.n_features)[0])
+        stages = _kernels.indices(stages, len(self.spans) + 1, "stages")
+        out = np.empty((len(stages), len(X)))
+        if _kernels.library().pervml_gbrt_predict(
+            *X.shape, X.ctypes.data, self.links.shape[1], self.links.ctypes.data,
+            self.nodes.ctypes.data, self.spans.ctypes.data, self.base_score,
+            len(stages), stages.ctypes.data, out.ctypes.data,
+        ):
+            raise ValueError("a span, split feature or child number lies outside the node tables")
+        return out
 
 
 def presort(X) -> tuple[np.ndarray, np.ndarray]:
@@ -181,17 +193,6 @@ def presort(X) -> tuple[np.ndarray, np.ndarray]:
     stable, so tied values (0.0 and -0.0 among them) keep ascending row order."""
     cols = np.ascontiguousarray(np.asarray(X, dtype=float).T)
     return cols, np.argsort(cols, axis=1, kind="stable").astype(np.int64, copy=False)
-
-
-def _trees(links, nodes, spans) -> list[Tree]:
-    """Trees from node tables: links holds feature and right, nodes threshold,
-    gain, cover and value, and each span is one tree's [start, stop) in them."""
-    feature, right = links.tolist()
-    threshold, gain, cover, value = nodes.tolist()
-    return [
-        Tree(feature[a:b], threshold[a:b], gain[a:b], cover[a:b], value[a:b], right[a:b])
-        for a, b in spans
-    ]
 
 
 def _nodes_written(size: int) -> int:
@@ -207,18 +208,15 @@ def build_tree(cols, orders, rows, g, params: GbrtParams, columns=None, left_out
     """Grow one tree by exact greedy search, depth first, as `fit` grows each.
 
     cols and orders are `presort` of the fit's features; rows are the rows
-    the tree is grown on, in ascending order; g holds every row's gradient.
-    columns are the candidate columns in ascending index order, so
-    tie-breaking stays by original index; None means every column.
-    left_out are rows the tree is not grown on, ascending; growth only
-    routes them.
+    the tree is grown on, ascending; g holds every row's gradient. columns
+    are the candidate columns, ascending so that ties go to the lower index;
+    None means every column. left_out are rows the tree is not grown on,
+    ascending; growth only routes them.
 
-    Each node carries its rows, its left-out rows and, for each candidate
-    column, its rows in that column's order. A split partitions every one
-    of these lists with the threshold test that `predict_tree` applies,
-    which keeps each in its order, so no node sorts and a left-out row
-    ends in the leaf that `predict_tree` would send it to. Returns the tree,
-    leaf values not yet scaled by eta, and its leaves as (node, rows,
+    A split partitions a node's rows, left-out rows and column orders with
+    the threshold test that prediction applies, so no node sorts and a
+    left-out row ends in the leaf prediction would send it to. Returns the
+    tree, leaf values not yet scaled by eta, and its leaves as (node, rows,
     left-out rows) triples. The grower is C (`_gbrt.c`), the one `fit` runs.
     """
     if len(rows) == 0:
@@ -251,7 +249,7 @@ def build_tree(cols, orders, rows, g, params: GbrtParams, columns=None, left_out
         params.gamma, params.reg_lambda, params.reg_alpha,
         capacity, links.ctypes.data, nodes.ctypes.data, leaf_of.ctypes.data,
     ))
-    (tree,) = _trees(links[:, :size], nodes[:, :size], [(0, size)])
+    tree = _tree(links, nodes, 0, size)
     leaf_of, rows, left_out = leaf_of.tolist(), rows.tolist(), left_out.tolist()
     leaves = [
         (node, [r for r in rows if leaf_of[r] == node], [r for r in left_out if leaf_of[r] == node])
@@ -259,18 +257,6 @@ def build_tree(cols, orders, rows, g, params: GbrtParams, columns=None, left_out
         if feature < 0
     ]
     return tree, leaves
-
-
-def predict_tree(tree: Tree, rows) -> list[float]:
-    """Each row's leaf value; rows are sequences of feature values (lists)."""
-    feature, threshold, right, value = tree.feature, tree.threshold, tree.right, tree.value
-    out = []
-    for row in rows:
-        node = 0
-        while feature[node] >= 0:
-            node = node + 1 if row[feature[node]] <= threshold[node] else right[node]
-        out.append(value[node])
-    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -316,35 +302,17 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
     receive its prediction update, from the leaf growth routed them to, so
     the next round's gradients are consistent.
 
-    Columns are sorted once per fit, and a round whose draw already grew a
-    tree that changed no prediction's bits, with no prediction changed
-    since, appends a copy of that tree instead of growing it again (see the
-    module docstring); neither changes a bit of the trees.
+    Columns are sorted once per fit, and a round that repeats an earlier
+    tree points at its span instead of growing it (module docstring);
+    neither changes a bit of the trees. All the rounds run in one C call.
     """
     X, y = check_inputs(X, y, None)
-    d = X.shape[1]
+    n, d = X.shape
     if feature_names is None:
         feature_names = tuple(f"f{j}" for j in range(d))
     feature_names = tuple(feature_names)
     if len(feature_names) != d:
         raise ValueError("feature_names length must match column count")
-    trees, _ = _boost(X, y, params)
-    return TreeEnsemble(params.base_score, params.eta, feature_names, trees)
-
-
-def stage_predictions(X, y, key: GbrtParams, stages, X_new) -> list[np.ndarray]:
-    """Predictions on X_new of `fit(X, y, replace(key, n_estimators=k))` for
-    each k of stages, in order: one fit of max(stages) trees, read from
-    `staged_predict`, bit for bit what each fit alone gives."""
-    staged = list(fit(X, y, replace(key, n_estimators=max(stages))).staged_predict(X_new))
-    return [staged[k] for k in stages]
-
-
-def _boost(X, y, params: GbrtParams) -> tuple[list[Tree], list[bool]]:
-    """Every round's tree, and whether the round grew it rather than copying
-    an earlier round's; X and y have passed `check_inputs`. All the rounds
-    run in one call to C (`_gbrt.c`)."""
-    n, d = X.shape
     cols, orders = presort(X)
     y = np.ascontiguousarray(y)
     rows, columns, draw = _sample_schedule(
@@ -357,57 +325,80 @@ def _boost(X, y, params: GbrtParams) -> tuple[list[Tree], list[bool]]:
     links = np.empty((2, capacity), dtype=np.int64)
     nodes = np.empty((4, capacity))
     spans = np.empty((rounds, 2), dtype=np.int64)
-    grown = np.empty(rounds, dtype=np.int8)
     size = _nodes_written(_kernels.library().pervml_gbrt_fit(
         n, cols.ctypes.data, orders.ctypes.data, y.ctypes.data,
         n_rows, rows.ctypes.data, columns.shape[1], columns.ctypes.data, len(rows),
         rounds, draw.ctypes.data, min(params.max_depth, _kernels.INT64_MAX),
         params.eta, params.gamma, params.reg_lambda, params.reg_alpha, params.base_score,
-        capacity, links.ctypes.data, nodes.ctypes.data, spans.ctypes.data, grown.ctypes.data,
+        capacity, links.ctypes.data, nodes.ctypes.data, spans.ctypes.data,
     ))
-    return _trees(links[:, :size], nodes[:, :size], spans.tolist()), grown.astype(bool).tolist()
+    return TreeEnsemble(
+        params.base_score, params.eta, feature_names, links[:, :size], nodes[:, :size], spans
+    )
 
 
-def _tree_to_dict(tree: Tree) -> dict:
-    """Nested JSON object of a tree, built from the last node back to the root."""
-    nodes: list = [None] * len(tree.feature)
-    for i in reversed(range(len(nodes))):
-        if tree.feature[i] < 0:
-            nodes[i] = {"weight": tree.value[i]}
+def stage_predictions(X, y, members: list[GbrtParams], X_new) -> list[np.ndarray]:
+    """Predictions on X_new of `fit(X, y, params)` for each params of members,
+    which share one `fit_key`: one fit of the most trees, read at every
+    member's n_estimators in one walk, bit for bit what each fit alone gives."""
+    model = fit(X, y, max(members, key=lambda params: params.n_estimators))
+    return list(model.predict_stages(X_new, [params.n_estimators for params in members]))
+
+
+def _tree_to_dict(tables, start: int, stop: int) -> dict:
+    """Nested JSON object of the tree in [start, stop) of the tables (feature,
+    right, threshold, gain, cover and value lists), built from the last node."""
+    feature, right, threshold, gain, cover, value = tables
+    nodes: list = [None] * (stop - start)
+    for i in reversed(range(stop - start)):
+        at = start + i
+        if feature[at] < 0:
+            nodes[i] = {"weight": value[at]}
         else:
             nodes[i] = {
-                "feature": tree.feature[i],
-                "threshold": tree.threshold[i],
-                "gain": tree.gain[i],
-                "cover": tree.cover[i],
-                "left": nodes[i + 1],
-                "right": nodes[tree.right[i]],
+                "feature": feature[at], "threshold": threshold[at], "gain": gain[at],
+                "cover": cover[at], "left": nodes[i + 1], "right": nodes[right[at]],
             }
     return nodes[0]
 
 
-def _tree_from_dict(obj, n_features: int) -> Tree:
-    """Number a nested JSON tree in pre-order, left child first, from a stack."""
-    tree = Tree()
-    stack = [(obj, -1)]
-    while stack:
-        obj, parent = stack.pop()
-        if not isinstance(obj, dict):
-            raise ModelIOError("tree node must be an object")
-        if "weight" in obj:
-            _add_node(tree, parent, value=typed(obj["weight"], float, "weight"))
-            continue
-        feature = typed(obj["feature"], int, "split feature")
-        if not 0 <= feature < n_features:
-            raise ModelIOError(f"split feature {feature} out of range for {n_features} feature(s)")
-        split = (typed(obj[key], float, key) for key in ("threshold", "gain", "cover"))
-        node = _add_node(tree, parent, feature, *split)
-        stack.append((obj["right"], node))
-        stack.append((obj["left"], -1))
-    return tree
+def _tables_from_dicts(trees, n_features: int):
+    """Node tables and spans of nested JSON trees, each tree numbered in
+    pre-order, left child first, from a stack."""
+    links, nodes, spans = [], [], []
+    for obj in trees:
+        start = len(links)
+        stack = [(obj, -1)]
+        while stack:
+            obj, parent = stack.pop()
+            if not isinstance(obj, dict):
+                raise ModelIOError("tree node must be an object")
+            node = len(links) - start
+            if parent >= 0:
+                links[start + parent][1] = node
+            if "weight" in obj:
+                links.append([-1, -1])
+                nodes.append((0.0, 0.0, 0.0, typed(obj["weight"], float, "weight")))
+                continue
+            feature = typed(obj["feature"], int, "split feature")
+            if not 0 <= feature < n_features:
+                raise ModelIOError(
+                    f"split feature {feature} out of range for {n_features} feature(s)"
+                )
+            split = (typed(obj[key], float, key) for key in ("threshold", "gain", "cover"))
+            links.append([feature, -1])
+            nodes.append((*split, 0.0))
+            stack += [(obj["right"], node), (obj["left"], -1)]
+        spans.append((start, len(links)))
+    return (
+        np.array(links, dtype=np.int64).reshape(-1, 2).T,
+        np.array(nodes, dtype=np.float64).reshape(-1, 4).T,
+        np.array(spans, dtype=np.int64).reshape(-1, 2),
+    )
 
 
 def save_model(model: TreeEnsemble, path):
+    tables = [*model.links.tolist(), *model.nodes.tolist()]
     write_model(
         path,
         {
@@ -415,7 +406,7 @@ def save_model(model: TreeEnsemble, path):
             "base_score": model.base_score,
             "eta": model.eta,
             "feature_names": list(model.feature_names),
-            "trees": [_tree_to_dict(tree) for tree in model.trees],
+            "trees": [_tree_to_dict(tables, a, b) for a, b in model.spans.tolist()],
         },
     )
 
@@ -423,10 +414,10 @@ def save_model(model: TreeEnsemble, path):
 def _ensemble_from_dict(payload: dict) -> TreeEnsemble:
     feature_names = tuple(typed(payload["feature_names"], list[str], "feature_names"))
     return TreeEnsemble(
-        base_score=typed(payload["base_score"], float, "base_score"),
-        eta=typed(payload["eta"], float, "eta"),
-        feature_names=feature_names,
-        trees=[_tree_from_dict(t, len(feature_names)) for t in payload["trees"]],
+        typed(payload["base_score"], float, "base_score"),
+        typed(payload["eta"], float, "eta"),
+        feature_names,
+        *_tables_from_dicts(payload["trees"], len(feature_names)),
     )
 
 

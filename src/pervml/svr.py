@@ -63,12 +63,11 @@ class SvrParams:
             raise ValueError("max_passes must be >= 1")
 
     def fit_key(self):
-        """(params of the fit, stage C): C and every kernel field this kernel
-        never reads reset to their defaults (see `stage_predictions`)."""
+        """The params of the fit that serves every C: C and the kernel fields
+        this kernel never reads at their defaults (see `stage_predictions`)."""
         unread = {name for names in KERNEL_FIELDS.values() for name in names}
         unread -= set(KERNEL_FIELDS[self.kernel])
-        defaults = {name: getattr(SvrParams, name) for name in unread | {"C"}}
-        return replace(self, **defaults), self.C
+        return replace(self, **{name: getattr(SvrParams, name) for name in unread | {"C"}})
 
 
 def gram_matrix(params: SvrParams, X1, X2) -> np.ndarray:
@@ -123,13 +122,17 @@ def fit(X, y, params: SvrParams, feature_names=None) -> SvrModel:
     return _fit_path(X, y, [params])[0]
 
 
-def stage_predictions(X, y, key: SvrParams, stages, X_new) -> list[np.ndarray]:
-    """Predictions on X_new of `fit(X, y, replace(key, C=c))` for each c of
-    stages, in order: one fit per distinct C, along one path (`_fit_path`)."""
-    Cs = sorted(set(stages))
-    models = _fit_path(X, y, [replace(key, C=C) for C in Cs])
+def stage_predictions(X, y, members: list[SvrParams], X_new) -> list[np.ndarray]:
+    """Predictions on X_new of `fit(X, y, params)` for each params of members,
+    which share one `fit_key`: one fit per distinct C, along one path
+    (`_fit_path`); members of equal C differ only in fields no fit reads."""
+    path = {}
+    for params in members:
+        path.setdefault(params.C, params)
+    Cs = sorted(path)
+    models = _fit_path(X, y, [path[C] for C in Cs])
     predictions = {C: model.predict(X_new) for C, model in zip(Cs, models)}
-    return [predictions[C] for C in stages]
+    return [predictions[params.C] for params in members]
 
 
 def _fit_path(X, y, path: list[SvrParams]) -> list[SvrModel]:

@@ -5,11 +5,11 @@ from a seeded shuffle and shared by every combination. Ties on mean MSE are
 broken by grid iteration order (axes iterated in declaration order), and
 every non-finite mean (a failed combination, a NaN score) ranks last.
 
-Combinations share fits by one rule: `fit_key` splits a family's params into
-a fit key and a stage (gbrt's n_estimators, svr's C), and each fold makes one
-`stage_predictions` call per fit key for its members' holdout predictions.
-gbrt grows the largest stage's trees and reads each stage from
-`staged_predict`; svr builds the training Gram matrix once and solves the C
+Combinations share fits by one rule: `fit_key` resets a family's stage
+field (gbrt's n_estimators, svr's C), and each fold makes one
+`stage_predictions` call per fit key with its members' params. gbrt grows
+the most trees a member asks for and reads every member's stage in one
+compiled walk; svr builds the training Gram matrix once and solves the C
 values in ascending order, each SMO run resuming from the prefix of the run
 before it. Each prediction is bit for bit that of the member's own fit.
 """
@@ -177,17 +177,18 @@ def grid_search(
     """
     folds = kfold_indices(train.y.shape[0], k, seed)
     results = [CvResult(combination=dict(c)) for c in grid.combinations()]
-    groups: dict[str, tuple] = {}
+    groups: dict[str, list] = {}
     for result in results:
         try:
-            key, stage = make_params(grid.family, result.combination, seed=seed).fit_key()
+            params = make_params(grid.family, result.combination, seed=seed)
+            key = params.fit_key()
         except Exception as exc:  # noqa: BLE001 - search must survive bad combos
             _record_error(result, exc)
             continue
         # repr tells 1 from 1.0 and 0.0 from -0.0, so shared fits are exact.
-        groups.setdefault(repr(key), (key, []))[1].append((result, stage))
-    for key, members in groups.values():
-        _score_group(train, grid.family, folds, key, members)
+        groups.setdefault(repr(key), []).append((result, params))
+    for members in groups.values():
+        _score_group(train, grid.family, folds, members)
 
     order = sorted(range(len(results)), key=lambda i: _rank_key(results[i].mean_mse, i))
     for rank, idx in enumerate(order, start=1):
@@ -210,10 +211,10 @@ def _record_error(result: CvResult, exc: Exception):
     result.mean_mse = float("inf")
 
 
-def _score_group(train: TargetSlice, family: str, folds, key, members):
-    """Cross-validate the (result, stage) pairs of one fit key, with one
+def _score_group(train: TargetSlice, family: str, folds, members):
+    """Cross-validate the (result, params) pairs of one fit key, with one
     `stage_predictions` call per fold. An exception in a fold fails them all."""
-    stages = [stage for _, stage in members]
+    params = [member for _, member in members]
     stage_predictions = _family(family).module.stage_predictions
     n = train.y.shape[0]
     scores: list[list[float]] = [[] for _ in members]
@@ -223,7 +224,7 @@ def _score_group(train: TargetSlice, family: str, folds, key, members):
             holdout[fold] = True
             y_hold = train.y[holdout]
             predictions = stage_predictions(
-                train.X[~holdout], train.y[~holdout], key, stages, train.X[holdout]
+                train.X[~holdout], train.y[~holdout], params, train.X[holdout]
             )
             for member_scores, prediction in zip(scores, predictions):
                 member_scores.append(mse(y_hold, prediction))

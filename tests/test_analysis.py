@@ -11,7 +11,7 @@ from pervml.analysis import (
 from pervml.data import FEATURE_COLUMNS, Dataset
 from pervml.gbrt import GbrtParams, Tree, TreeEnsemble, fit
 
-from test_gbrt import leaf_tree
+from test_gbrt import ensemble_of, leaf_tree
 
 
 class TestPearson:
@@ -90,9 +90,7 @@ def stump_ensemble() -> TreeEnsemble:
         value=[0.0, -0.5, 0.5],
         right=[2, -1, -1],
     )
-    return TreeEnsemble(
-        base_score=0.5, eta=1.0, feature_names=("a", "b", "c", "d"), trees=[stump]
-    )
+    return ensemble_of([stump], feature_names=("a", "b", "c", "d"))
 
 
 class TestImportance:
@@ -116,13 +114,7 @@ class TestImportance:
         assert report.rank_gain[3] == 4
 
     def test_zero_split_ensemble_degenerate(self):
-        model = TreeEnsemble(
-            base_score=0.5,
-            eta=1.0,
-            feature_names=("a", "b"),
-            trees=[leaf_tree(0.1)],
-        )
-        report = importance(model)
+        report = importance(ensemble_of([leaf_tree(0.1)], feature_names=("a", "b")))
         assert report.degenerate
         np.testing.assert_array_equal(report.gain, [0, 0])
         np.testing.assert_array_equal(report.weight, [0, 0])

@@ -475,28 +475,42 @@ class TestTune:
         assert "fold seed 42" in stdout
 
 
-    def test_default_gbrt_grid(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert run_cli("tune", "--model", "gbrt", "--out", str(out)) == 0
-        header, *rows = read_csv(out / "cv_results_gbrt_compressive.csv")
-        assert len(rows) == 3072
-        mean, rank = header.index("mean_mse"), header.index("rank")
-        assert sorted(int(row[rank]) for row in rows) == list(range(1, 3073))
-        best = next(row for row in rows if row[rank] == "1")
-        assert float(best[mean]) == min(float(row[mean]) for row in rows)
-        # The outputs of the pure-Python fit this compiled one replaced, bit for
-        # bit. No gbrt output depends on numpy's SIMD dispatch.
-        assert {
-            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in sorted(os.listdir(out))
-        } == {
+    # The outputs' sha256s: compressive's are those of the pure-Python fit the
+    # compiled one replaced, tensile's were recorded from the compiled fit.
+    # No gbrt output depends on numpy's SIMD dispatch.
+    DEFAULT_GBRT_DIGESTS = {
+        "compressive": {
             "best_params_gbrt_compressive.txt":
                 "ed839081f350ed0dc27cbcae17d8c7e6b20dbefb1727631b9ada9e98e3c05f1e",
             "cv_results_gbrt_compressive.csv":
                 "2e72c687b6b0600bfab19794826cffa36eb3b9c4738a65034615dc2b4535c7c0",
             "model_gbrt_compressive.json":
                 "8b3f683f1bbf766586ecbdb2a6a95f7521733d9952f037a99ccc43a2d844470e",
-        }
+        },
+        "tensile": {
+            "best_params_gbrt_tensile.txt":
+                "593e11a99f8e36825b5792ef722bd7a0eb0d949e80c2666a15cd41fbc26f3b7c",
+            "cv_results_gbrt_tensile.csv":
+                "61ec22dc1b194b872e607032f08541decf88426abc1a70bc028626e315664dac",
+            "model_gbrt_tensile.json":
+                "2a1009c25599e79e992f65c5f0929fd901d7871fcd5d3da5a9a8e90727e4f32c",
+        },
+    }
+
+    @pytest.mark.parametrize("target", DEFAULT_GBRT_DIGESTS)
+    def test_default_gbrt_grid(self, tmp_path, capsys, target):
+        out = tmp_path / "out"
+        assert run_cli("tune", "--model", "gbrt", "--target", target, "--out", str(out)) == 0
+        header, *rows = read_csv(out / f"cv_results_gbrt_{target}.csv")
+        assert len(rows) == 3072
+        mean, rank = header.index("mean_mse"), header.index("rank")
+        assert sorted(int(row[rank]) for row in rows) == list(range(1, 3073))
+        best = next(row for row in rows if row[rank] == "1")
+        assert float(best[mean]) == min(float(row[mean]) for row in rows)
+        assert {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(out))
+        } == self.DEFAULT_GBRT_DIGESTS[target]
 
     @pytest.mark.parametrize(
         "model, grid",
@@ -664,20 +678,39 @@ class TestReproduce:
         assert "C11" in err
         assert "Traceback" not in err
 
-    def test_strict_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+    # Each band tightened past what any reproduction reaches (5 wins of 4,
+    # an R2 of 1.5), and the message its branch alone then reports.
+    STRICT_BANDS = {
+        "min_gbrt_rmse_wins": (5, r"gbrt test RMSE beats svr on only \d/4 targets \(need 5\)"),
+        "gbrt_test_rmse_factor": (0.0, r"gbrt test RMSE for \w+ is [\d.]+ > band 0\.0000"),
+        "gbrt_min_train_r2": (1.5, r"gbrt train R2 for \w+ is [\d.]+ < 1\.5"),
+        "min_cement_mean_rank_wins": (
+            5, r"cement has the best mean importance rank in only \d/4 models \(need 5\)"
+        ),
+        "min_cement_gain_rank1_wins": (5, r"cement has gain rank 1 in only \d/4 models \(need 5\)"),
+    }
+
+    @pytest.mark.parametrize("band", STRICT_BANDS)
+    def test_strict_failure_exits_3(self, tmp_path, monkeypatch, capsys, band):
         from pervml import pipeline
 
+        value, message = self.STRICT_BANDS[band]
         original = pipeline.load_reference
 
-        def impossible_reference():
+        def tightened_reference():
             ref = original()
-            ref["bands"]["min_gbrt_rmse_wins"] = 5  # cannot win 5 of 4
+            ref["bands"][band] = value
             return ref
 
-        monkeypatch.setattr(pipeline, "load_reference", impossible_reference)
+        monkeypatch.setattr(pipeline, "load_reference", tightened_reference)
         out = tmp_path / "out"
         assert run_cli("reproduce", "--strict", "--out", str(out)) == 3
-        assert "BAND FAILURE" in capsys.readouterr().out
+        failures = [
+            line.removeprefix("BAND FAILURE: ")
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("BAND FAILURE: ")
+        ]
+        assert failures and all(re.fullmatch(message, failure) for failure in failures)
 
     def test_strict_passes_with_shipped_bands(self, tmp_path, capsys):
         out = tmp_path / "out"

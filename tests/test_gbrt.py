@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pervml import gbrt
+from pervml import _kernels, gbrt
 from pervml._kernels import best_split_kernel
-from pervml.gbrt import GbrtParams, Tree, TreeEnsemble, build_tree, predict_tree, presort
+from pervml.gbrt import GbrtParams, Tree, TreeEnsemble, build_tree, presort
 from pervml.metrics import mse
 from pervml.modelio import ModelIOError
 
@@ -96,6 +96,61 @@ def leaf_tree(value: float) -> Tree:
         value=[value],
         right=[-1],
     )
+
+
+def add_node(
+    tree: Tree, parent: int, feature=-1, threshold=0.0, gain=0.0, cover=0.0, value=0.0
+) -> int:
+    """Append the next node in pre-order; `parent` >= 0 marks a right child."""
+    node = len(tree.feature)
+    if parent >= 0:
+        tree.right[parent] = node
+    tree.feature.append(feature)
+    tree.threshold.append(threshold)
+    tree.gain.append(gain)
+    tree.cover.append(cover)
+    tree.value.append(value)
+    tree.right.append(-1)
+    return node
+
+
+def predict_tree(tree: Tree, X) -> list[float]:
+    """Each row's leaf value, by a walk on Python floats: the oracle of the
+    compiled walk behind `TreeEnsemble.predict_stages`."""
+    feature, threshold, right, value = tree.feature, tree.threshold, tree.right, tree.value
+    out = []
+    for row in np.asarray(X, dtype=float).tolist():
+        node = 0
+        while feature[node] >= 0:
+            node = node + 1 if row[feature[node]] <= threshold[node] else right[node]
+        out.append(value[node])
+    return out
+
+
+def ensemble_of(trees, base_score=0.5, eta=1.0, feature_names=("f0",)) -> TreeEnsemble:
+    """The ensemble whose rounds are trees, each in a span of its own."""
+
+    def joined(*names):
+        return [[x for tree in trees for x in getattr(tree, name)] for name in names]
+
+    sizes = [len(tree.feature) for tree in trees]
+    stops = np.cumsum(sizes, dtype=np.int64)
+    return TreeEnsemble(
+        base_score, eta, tuple(feature_names),
+        np.reshape(joined("feature", "right"), (2, -1)),
+        np.reshape(joined("threshold", "gain", "cover", "value"), (4, -1)),
+        np.stack([stops - sizes, stops], axis=1).reshape(-1, 2),
+    )
+
+
+def grown_rounds(model: TreeEnsemble) -> list[bool]:
+    """Whether each round grew its tree: a grown tree's span starts where the
+    tables ended before it, a repeated tree's points back at an earlier one."""
+    grown, end = [], 0
+    for start, stop in model.spans.tolist():
+        grown.append(start == end)
+        end = max(end, stop)
+    return grown
 
 
 def node_depths(tree: Tree) -> list[int]:
@@ -506,9 +561,8 @@ class TestFit:
     def test_zero_weight_tree_is_identity(self, rng):
         X = rng.uniform(size=(6, 2))
         model = gbrt.fit(X, rng.uniform(size=6), stump_params(n_estimators=3))
-        before = model.predict(X)
-        model.trees.append(leaf_tree(0.0))
-        np.testing.assert_array_equal(model.predict(X), before)
+        more = ensemble_of(model.trees + [leaf_tree(0.0)], feature_names=model.feature_names)
+        np.testing.assert_array_equal(more.predict(X), model.predict(X))
 
     def test_deterministic_under_seed(self, train_slices, tmp_path):
         train = train_slices["density"]
@@ -568,7 +622,7 @@ class TestStagedPrefix:
         big = gbrt.fit(X, y, params)
         small = gbrt.fit(X, y, replace(params, n_estimators=k))
         assert small.trees == big.trees[:k]
-        stages = list(big.staged_predict(X_new))
+        stages = big.predict_stages(X_new, range(m + 1))
         assert len(stages) == m + 1
         assert (small.predict(X_new) == stages[k]).all()
         assert (big.predict(X_new) == stages[m]).all()
@@ -602,8 +656,9 @@ class TestCoverIsRowCount:
             n_estimators=4, max_depth=depth, subsample=subsample,
             colsample_bytree=colsample, seed=seed,
         )
-        trees, grown = gbrt._boost(X, y, params)
-        assert grown == [True] * len(trees)
+        model = gbrt.fit(X, y, params)
+        trees = model.trees
+        assert grown_rounds(model) == [True] * len(trees)
         sampled, _, draw = schedule_of(X, params)
         for tree, rows in zip(trees, (X[sampled[i]] for i in draw)):
             reached = [0] * len(tree.feature)
@@ -639,27 +694,16 @@ def reference_build_tree(X, g, params, rng=None) -> Tree:
             )
         if col_local < 0 or gain <= 0.0:
             value = leaf_weight(float(g.sum()), float(len(g)), params)
-            gbrt._add_node(tree, parent, value=value)
+            add_node(tree, parent, value=value)
             continue
         feature = int(columns[col_local])
-        node = gbrt._add_node(
+        node = add_node(
             tree, parent, feature, float(threshold), float(gain), float(len(g))
         )
         mask = X[:, feature] <= threshold
         stack.append((X[~mask], g[~mask], depth + 1, node))
         stack.append((X[mask], g[mask], depth + 1, -1))
     return tree
-
-
-def reference_predict_tree(tree: Tree, X) -> np.ndarray:
-    out = []
-    for row in X.tolist():
-        node = 0
-        while tree.feature[node] >= 0:
-            f = tree.feature[node]
-            node = node + 1 if row[f] <= tree.threshold[node] else tree.right[node]
-        out.append(tree.value[node])
-    return np.array(out, dtype=float)
 
 
 def reference_fit(X, y, params) -> list[Tree]:
@@ -680,7 +724,7 @@ def reference_fit(X, y, params) -> list[Tree]:
         tree = reference_build_tree(X[rows], g[rows], params, rng)
         tree.value = [v * params.eta for v in tree.value]
         trees.append(tree)
-        preds += reference_predict_tree(tree, X)
+        preds += predict_tree(tree, X)
     return trees
 
 
@@ -736,17 +780,23 @@ def boosting_problems(draw):
     return X, y, params, X_new.reshape(m, d)
 
 
+def oracle_stages(trees, base_score, X) -> np.ndarray:
+    """The predictions after 0, 1, ..., len(trees) trees, each tree's leaf
+    values added in round order."""
+    stage = np.full(len(X), base_score, dtype=float)
+    stages = [stage]
+    for tree in trees:
+        stage = stage + predict_tree(tree, X)
+        stages.append(stage)
+    return np.array(stages).reshape(len(trees) + 1, len(X))
+
+
 def assert_matches_reference(X, y, params, X_new):
     want = reference_fit(X, y, params)
     model = gbrt.fit(X, y, params)
     assert [tree_bits(t) for t in model.trees] == [tree_bits(t) for t in want]
-    stage = np.full(len(X_new), params.base_score, dtype=float)
-    stages = list(model.staged_predict(X_new))
-    assert len(stages) == len(want) + 1
-    assert stages[0].tobytes() == stage.tobytes()
-    for tree, got in zip(want, stages[1:]):
-        stage = stage + reference_predict_tree(tree, X_new)
-        assert got.tobytes() == stage.tobytes()
+    stages = model.predict_stages(X_new, range(len(want) + 1))
+    assert stages.tobytes() == oracle_stages(want, params.base_score, X_new).tobytes()
 
 
 # Five rows of two columns, tied values and -0.0 among them, for explicit cases.
@@ -797,18 +847,23 @@ class TestMatchesPerNodeReference:
         params = GbrtParams(
             n_estimators=60, max_depth=2, eta=0.95, reg_alpha=reg_alpha, gamma=gamma
         )
-        _, grown = gbrt._boost(X, y, params)
-        assert grown == [True] * grown_trees + [False] * (60 - grown_trees)
         model = gbrt.fit(X, y, params)
-        last = model.trees[grown_trees - 1]
-        assert model.trees[grown_trees:] == [last] * (60 - grown_trees)
-        assert all(t is not last and t.value is not last.value for t in model.trees[grown_trees:])
+        assert grown_rounds(model) == [True] * grown_trees + [False] * (60 - grown_trees)
+        # Every later round shares the last grown tree's span: no node is copied.
+        spans = model.spans.tolist()
+        assert spans[grown_trees:] == [spans[grown_trees - 1]] * (60 - grown_trees)
+        assert model.links.shape[1] == spans[grown_trees - 1][1]
+        # It predicts as the same trees each in a span of its own, at any stages.
+        copies = ensemble_of(model.trees, model.base_score, feature_names=model.feature_names)
+        stages = [60, 0, grown_trees, 3, 60, 17]
+        want = copies.predict_stages(X, stages).tobytes()
+        assert model.predict_stages(X, stages).tobytes() == want
         assert_matches_reference(X, y, params, X)
 
     @staticmethod
     def grown_columns(X, y, params):
         """The candidate columns of every tree `fit` grows, in order."""
-        _, grown = gbrt._boost(X, y, params)
+        grown = grown_rounds(gbrt.fit(X, y, params))
         _, columns, draw = schedule_of(X, params)
         return [tuple(columns[i].tolist()) for i, grew in zip(draw, grown) if grew]
 
@@ -827,8 +882,15 @@ class TestMatchesPerNodeReference:
         assert grown == [(1,), (1,), (1,), (0,), (0,), (1,)]
         reused = model.trees[len(grown):]
         assert [tree_bits(tree) for tree in reused] == [tree_bits(leaf_tree(-0.0))] * 34
-        assert len({id(tree) for tree in model.trees}) == 40
-        assert len({id(tree.value) for tree in model.trees}) == 40
+        # Each reused round shares the span of the last tree its draw grew.
+        spans = [tuple(span) for span in model.spans.tolist()]
+        _, _, draw = schedule_of(X, params)
+        latest = {}
+        for r, grew in enumerate(grown_rounds(model)):
+            if grew:
+                latest[draw[r]] = spans[r]
+            assert spans[r] == latest[draw[r]]
+        assert len(set(spans)) == 6
         assert_matches_reference(X, y, params, X)
 
     def test_a_changed_prediction_drops_the_reusable_trees(self):
@@ -914,7 +976,7 @@ class TestLeftOutRouting:
         def no_walk(*args):
             raise AssertionError("fit walked a tree")
 
-        monkeypatch.setattr(gbrt, "predict_tree", no_walk)
+        monkeypatch.setattr(gbrt.TreeEnsemble, "predict_stages", no_walk)
         model = gbrt.fit(X, y, params)
         want = reference_fit(X, y, params)
         assert [tree_bits(t) for t in model.trees] == [tree_bits(t) for t in want]
@@ -948,7 +1010,8 @@ class TestFitInputs:
 
     def test_zero_estimators(self, train_slices):
         train = train_slices["compressive"]
-        assert gbrt._boost(train.X, train.y, replace(self.params, n_estimators=0)) == ([], [])
+        model = gbrt.fit(train.X, train.y, replace(self.params, n_estimators=0))
+        assert (model.links.shape, model.nodes.shape, model.spans.shape) == ((2, 0), (4, 0), (0, 2))
 
     def test_a_single_sampled_row(self, train_slices):
         # ceil(0.05 * 19) = 1 row per tree: every tree is one leaf.
@@ -1063,7 +1126,7 @@ class TestPairwiseSum:
 
 class TestPredict:
     def test_empty_ensemble(self):
-        model = TreeEnsemble(base_score=0.7, eta=0.3, feature_names=("a", "b"))
+        model = ensemble_of([], base_score=0.7, eta=0.3, feature_names=("a", "b"))
         np.testing.assert_array_equal(
             model.predict(np.zeros((3, 2))), np.full(3, 0.7)
         )
@@ -1085,6 +1148,149 @@ class TestPredict:
         model = gbrt.fit(STUMP_X, STUMP_Y, stump_params())
         with pytest.raises(ValueError, match="features must be finite"):
             model.predict([[0.0], [bad]])
+
+
+@st.composite
+def random_trees(draw, d):
+    """A tree of up to depth 3 on d features, numbered in pre-order; tied
+    thresholds and values, -0.0 among them."""
+    tree = Tree()
+    stack = [(0, -1)]  # (depth, parent of a right child)
+    while stack:
+        depth, parent = stack.pop()
+        if depth < 3 and draw(st.booleans()):
+            node = add_node(tree, parent, draw(st.integers(0, d - 1)), draw(tie_values))
+            stack.append((depth + 1, node))
+            stack.append((depth + 1, -1))
+        else:
+            add_node(tree, parent, value=draw(tie_values))
+    return tree
+
+
+@st.composite
+def staged_walks(draw):
+    """An ensemble of random trees, rows drawn from the thresholds' values,
+    and stages that hold 0 and the last stage, unsorted and with repeats."""
+    d = draw(st.integers(1, 3))
+    trees = draw(st.lists(random_trees(d), max_size=8))
+    n = draw(st.integers(0, 6))
+    X = np.array(draw(st.lists(tie_values, min_size=n * d, max_size=n * d))).reshape(n, d)
+    more = draw(st.lists(st.integers(0, len(trees)), max_size=6))
+    stages = draw(st.permutations([0, len(trees), *more, *more[:1]]))
+    base_score = draw(st.sampled_from([0.5, 0.0, -0.0]))
+    return ensemble_of(trees, base_score, feature_names=[f"f{j}" for j in range(d)]), X, stages
+
+
+def stump(feature=0, threshold=0.25, right=2) -> Tree:
+    """A split on feature at threshold with leaves -1.0 (left) and 1.0."""
+    return Tree([feature, -1, -1], [threshold, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                [0.0, -1.0, 1.0], [right, -1, -1])
+
+
+class TestPredictStages:
+    """One compiled walk gives every stage, bit for bit the Python walk's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(staged_walks())
+    def test_random_ensembles_match_the_oracle(self, walk):
+        model, X, stages = walk
+        want = oracle_stages(model.trees, model.base_score, X)[stages]
+        assert model.predict_stages(X, stages).tobytes() == want.tobytes()
+        assert model.predict(X).tobytes() == want[stages.index(len(model.trees))].tobytes()
+
+    def test_negative_zero_plus_a_zero_leaf_is_zero(self):
+        model = ensemble_of([leaf_tree(0.0)], base_score=-0.0)
+        got = model.predict_stages([[1.0]], [1, 0])
+        assert [x.hex() for x in got.ravel()] == ["0x0.0p+0", "-0x0.0p+0"]
+
+    def test_a_reloaded_model_predicts_the_same_bits(self, train_slices, tmp_path):
+        train = train_slices["tensile"]
+        params = GbrtParams(n_estimators=30, subsample=0.7, colsample_bytree=0.7, seed=3)
+        model = gbrt.fit(train.X, train.y, params)
+        gbrt.save_model(model, tmp_path / "model.json")
+        loaded = gbrt.load_model(tmp_path / "model.json")
+        assert not any(t.flags.writeable for t in (loaded.links, loaded.nodes, loaded.spans))
+        stages = range(31)
+        got = loaded.predict_stages(train.X, stages)
+        assert got.tobytes() == model.predict_stages(train.X, stages).tobytes()
+        assert loaded.predict(train.X).tobytes() == model.predict(train.X).tobytes()
+
+    @pytest.mark.parametrize("threshold, x", [(0.25, 0.25), (-0.0, 0.0), (0.0, -0.0)])
+    def test_a_value_equal_to_its_threshold_goes_left(self, threshold, x):
+        model = ensemble_of([stump(threshold=threshold)], base_score=0.0)
+        above = np.nextafter(threshold, 1.0)
+        assert model.predict([[x], [above]]).tolist() == [-1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "trees, spans",
+        [
+            ([stump()], [[0, 4]]),  # a span past the tables' end
+            ([stump()], [[1, 1]]),  # an empty span
+            ([stump(feature=1)], None),  # a split feature of only one
+            ([stump(right=0)], None),  # a right child that loops back to the root
+            ([stump(right=3)], None),  # a right child past its tree's last node
+            ([Tree([0], [0.5], [1.0], [1.0], [0.0], [1])], None),  # a left child past it
+        ],
+        ids=["span_past_end", "empty_span", "feature_beyond_d", "child_loops", "right_past_tree",
+             "left_past_tree"],
+    )
+    def test_tables_that_lead_outside_raise(self, trees, spans):
+        model = ensemble_of(trees)
+        if spans is not None:
+            model = replace(model, spans=spans)
+        with pytest.raises(ValueError, match="outside the node tables"):
+            model.predict([[0.0], [1.0]])
+
+    @pytest.mark.parametrize(
+        "table, shape", [("links", (1, 3)), ("nodes", (4, 2)), ("spans", (1, 3)), ("links", (6,))]
+    )
+    def test_tables_of_the_wrong_shape_raise(self, table, shape):
+        model = ensemble_of([stump()])
+        with pytest.raises(ValueError, match="node tables must be"):
+            replace(model, **{table: np.zeros(shape)})
+
+    def test_tables_are_read_only_copies(self):
+        links = np.array([[-1], [-1]])
+        model = TreeEnsemble(0.5, 1.0, ("f0",), links, [[0.0]] * 4, [[0, 1]])
+        links[0, 0] = 7
+        assert model.links.tolist() == [[-1], [-1]]
+        for table in (model.links, model.nodes, model.spans):
+            assert table.flags.c_contiguous and not table.flags.writeable
+
+    @pytest.mark.parametrize("stage", [-1, 2])
+    def test_stages_outside_the_rounds_raise(self, stage):
+        with pytest.raises(ValueError, match=r"stages must lie in \[0, 2\)"):
+            ensemble_of([stump()]).predict_stages([[0.0]], [0, stage])
+
+
+class TestCompiledErrors:
+    """The compiled grower's error codes, as `_nodes_written` raises them."""
+
+    def test_a_full_node_table_raises(self):
+        # Two rows that split need three nodes; a table of one holds the root only.
+        cols, orders = presort(STUMP_X)
+        g, rows, columns = np.array([0.5, -0.5]), np.arange(2), np.zeros(1, dtype=np.int64)
+        links, nodes = np.empty((2, 1), dtype=np.int64), np.empty((4, 1))
+        leaf_of = np.empty(2, dtype=np.int64)
+        size = _kernels.library().pervml_gbrt_grow(
+            2, cols.ctypes.data, orders.ctypes.data, g.ctypes.data, 2, rows.ctypes.data,
+            0, rows.ctypes.data, 1, columns.ctypes.data, 6, 0.0, 0.0, 0.0,
+            1, links.ctypes.data, nodes.ctypes.data, leaf_of.ctypes.data,
+        )
+        assert size == -1
+        with pytest.raises(RuntimeError, match="more nodes than its node table holds"):
+            gbrt._nodes_written(size)
+
+    def test_work_space_that_cannot_be_allocated_raises_memory_error(self):
+        # 2**58 rows ask malloc for about 7e18 bytes, more than an address
+        # space holds; the fit returns before it reads any table.
+        size = _kernels.library().pervml_gbrt_fit(
+            2**58, None, None, None, 1, None, 1, None, 1, 0, None,
+            1, 1.0, 0.0, 1.0, 0.0, 0.5, 0, None, None, None,
+        )
+        assert size == -2
+        with pytest.raises(MemoryError, match="could not allocate"):
+            gbrt._nodes_written(size)
 
 
 class TestTreeTable:
