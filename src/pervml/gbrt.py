@@ -337,12 +337,13 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
     )
 
 
-def stage_predictions(X, y, members: list[GbrtParams], X_new) -> list[np.ndarray]:
+def stage_predictions(X, y, members: list[GbrtParams], X_new) -> np.ndarray:
     """Predictions on X_new of `fit(X, y, params)` for each params of members,
-    which share one `fit_key`: one fit of the most trees, read at every
+    which share one `fit_key`, as one C-contiguous (members x rows) array
+    whose row i is members[i]'s: one fit of the most trees, read at every
     member's n_estimators in one walk, bit for bit what each fit alone gives."""
     model = fit(X, y, max(members, key=lambda params: params.n_estimators))
-    return list(model.predict_stages(X_new, [params.n_estimators for params in members]))
+    return model.predict_stages(X_new, [params.n_estimators for params in members])
 
 
 def _tree_to_dict(tables, start: int, stop: int) -> dict:

@@ -1,4 +1,6 @@
-"""Regression evaluation measures, computed in the caller's (physical) units."""
+"""Regression evaluation measures, computed in the caller's (physical) units.
+
+Cross validation scores its folds itself, in arrays (`tuning`)."""
 
 from __future__ import annotations
 
@@ -71,13 +73,6 @@ def mape(y, y_hat) -> float:
     y, y_hat = _pair(y, y_hat)
     denom = np.maximum(np.abs(y), MAPE_GUARD)
     return float((np.abs(y - y_hat) / denom).mean())
-
-
-def mse(y, y_hat) -> float:
-    """Squared-error mean; internal scoring for cross validation."""
-    y, y_hat = _pair(y, y_hat)
-    d = y - y_hat
-    return float((d * d).mean())
 
 
 @dataclass(frozen=True)

@@ -122,9 +122,10 @@ def fit(X, y, params: SvrParams, feature_names=None) -> SvrModel:
     return _fit_path(X, y, [params])[0]
 
 
-def stage_predictions(X, y, members: list[SvrParams], X_new) -> list[np.ndarray]:
+def stage_predictions(X, y, members: list[SvrParams], X_new) -> np.ndarray:
     """Predictions on X_new of `fit(X, y, params)` for each params of members,
-    which share one `fit_key`: one fit per distinct C, along one path
+    which share one `fit_key`, as one C-contiguous (members x rows) array
+    whose row i is members[i]'s: one fit per distinct C, along one path
     (`_fit_path`); members of equal C differ only in fields no fit reads."""
     path = {}
     for params in members:
@@ -132,7 +133,7 @@ def stage_predictions(X, y, members: list[SvrParams], X_new) -> list[np.ndarray]
     Cs = sorted(path)
     models = _fit_path(X, y, [path[C] for C in Cs])
     predictions = {C: model.predict(X_new) for C, model in zip(Cs, models)}
-    return [predictions[params.C] for params in members]
+    return np.stack([predictions[params.C] for params in members])
 
 
 def _fit_path(X, y, path: list[SvrParams]) -> list[SvrModel]:

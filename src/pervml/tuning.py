@@ -1,9 +1,9 @@
 """Exhaustive grid search scored by k-fold cross-validated MSE.
 
-The search sees only the training slice; folds are drawn once per search
-from a seeded shuffle and shared by every combination. Ties on mean MSE are
-broken by grid iteration order (axes iterated in declaration order), and
-every non-finite mean (a failed combination, a NaN score) ranks last.
+The search sees only the training slice; folds are drawn from a seeded
+shuffle and cut once per search into the arrays every combination shares.
+Ties on mean MSE are broken by grid iteration order (axes iterated in
+declaration order); every non-finite mean (an error, a NaN score) ranks last.
 
 Combinations share fits by one rule: `fit_key` resets a family's stage
 field (gbrt's n_estimators, svr's C), and each fold makes one
@@ -12,6 +12,11 @@ the most trees a member asks for and reads every member's stage in one
 compiled walk; svr builds the training Gram matrix once and solves the C
 values in ascending order, each SMO run resuming from the prefix of the run
 before it. Each prediction is bit for bit that of the member's own fit.
+
+A fit key's scores are one C-ordered (members x folds) array reduced along
+its rows. A C-contiguous row sums as a 1-D array does, so each fold MSE and
+mean keeps the bits of `np.mean` over the member's own values; a (folds x
+members) layout would sum in another order.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import numpy as np
 
 from . import gbrt, svr
 from .data import FEATURE_COLUMNS, Dataset, Scaler
-from .metrics import mse
 from .modelio import field_types
 
 
@@ -176,6 +180,9 @@ def grid_search(
     Combinations that share a fit key share their fits (module docstring).
     """
     folds = kfold_indices(train.y.shape[0], k, seed)
+    cuts = [
+        (np.delete(train.X, f, 0), np.delete(train.y, f), train.X[f], train.y[f]) for f in folds
+    ]
     results = [CvResult(combination=dict(c)) for c in grid.combinations()]
     groups: dict[str, list] = {}
     for result in results:
@@ -188,7 +195,7 @@ def grid_search(
         # repr tells 1 from 1.0 and 0.0 from -0.0, so shared fits are exact.
         groups.setdefault(repr(key), []).append((result, params))
     for members in groups.values():
-        _score_group(train, grid.family, folds, members)
+        _score_group(grid.family, cuts, members)
 
     order = sorted(range(len(results)), key=lambda i: _rank_key(results[i].mean_mse, i))
     for rank, idx in enumerate(order, start=1):
@@ -211,30 +218,25 @@ def _record_error(result: CvResult, exc: Exception):
     result.mean_mse = float("inf")
 
 
-def _score_group(train: TargetSlice, family: str, folds, members):
-    """Cross-validate the (result, params) pairs of one fit key, with one
+def _score_group(family: str, cuts, members):
+    """Cross-validate the (result, params) pairs of one fit key on the
+    (X_train, y_train, X_hold, y_hold) cuts of the folds, with one
     `stage_predictions` call per fold. An exception in a fold fails them all."""
     params = [member for _, member in members]
     stage_predictions = _family(family).module.stage_predictions
-    n = train.y.shape[0]
-    scores: list[list[float]] = [[] for _ in members]
+    scores = np.empty((len(members), len(cuts)))
     try:
-        for fold in folds:
-            holdout = np.zeros(n, dtype=bool)
-            holdout[fold] = True
-            y_hold = train.y[holdout]
-            predictions = stage_predictions(
-                train.X[~holdout], train.y[~holdout], params, train.X[holdout]
-            )
-            for member_scores, prediction in zip(scores, predictions):
-                member_scores.append(mse(y_hold, prediction))
+        for f, (X_train, y_train, X_hold, y_hold) in enumerate(cuts):
+            d = stage_predictions(X_train, y_train, params, X_hold) - y_hold
+            scores[:, f] = (d * d).mean(axis=1)
     except Exception as exc:  # noqa: BLE001 - search must survive bad combos
         for result, _ in members:
             _record_error(result, exc)
         return
-    for (result, _), fold_scores in zip(members, scores):
+    means = scores.mean(axis=1).tolist()
+    for (result, _), fold_scores, mean in zip(members, scores.tolist(), means):
         result.fold_mse = fold_scores
-        result.mean_mse = float(np.mean(fold_scores))
+        result.mean_mse = mean
 
 
 def refit_best(train: TargetSlice, family: str, combination: dict, seed: int = 42):

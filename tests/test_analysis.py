@@ -1,3 +1,6 @@
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from pervml.analysis import (
 )
 from pervml.data import FEATURE_COLUMNS, Dataset
 from pervml.gbrt import GbrtParams, Tree, TreeEnsemble, fit
+from pervml.pipeline import write_sensitivity_csv
 
 from test_gbrt import ensemble_of, leaf_tree
 
@@ -74,6 +78,19 @@ class TestSensitivityTable:
         a = sensitivity_table(bundled)
         b = sensitivity_table(doubled)
         np.testing.assert_allclose(a.values, b.values, atol=1e-12)
+
+    def test_constant_column_is_nan_and_written(self, bundled, tmp_path):
+        ds = Dataset(tuple(replace(rec, cement=200.0) for rec in bundled.records))
+        table = sensitivity_table(ds)
+        cement = FEATURE_COLUMNS.index("cement")
+        assert np.isnan(table.values[cement]).all()
+        assert np.isfinite(np.delete(table.values, cement, axis=0)).all()
+        path = tmp_path / "sensitivity.csv"
+        write_sensitivity_csv(path, table)
+        with open(path, newline="") as fh:
+            rows = {row[0]: row[1:] for row in csv.reader(fh)}
+        assert rows["cement"] == ["nan"] * 4
+        assert "nan" not in rows["w_c"]
 
     def test_too_small_rejected(self, bundled):
         with pytest.raises(ValueError, match="at least 2"):

@@ -315,6 +315,48 @@ class TestSettingsFiles:
         assert "Traceback" not in err
 
 
+HEADER, FIRST_ROW = Path(bundled_path()).read_text().splitlines()[:2]
+
+
+class TestInputFileErrors:
+    """Each input file error exits 2 with its message naming the file, and
+    no traceback. `{}` in the argument and the message stands for the file,
+    which is not written when its text is None."""
+
+    @pytest.mark.parametrize(
+        "argv, arg, text, message",
+        [
+            (["tune", "--model", "svr", "--grid"], "{}", "[gbrt]\nn_estimators = 3\n",
+             "{}: no [svr] section"),
+            (["tune", "--grid"], "{}", "# no section\n", "{}: no [gbrt] or [svr] section found"),
+            (["train", "--params"], "{}", "# no pairs\n", "{}: no parameters found"),
+            (["stats"], "{}", "", "{}: empty dataset"),
+            (["stats"], "{}", ",".join(HEADER.split(",")[::-1]) + "\n" + FIRST_ROW + "\n",
+             "{}: header must be exactly " + HEADER),
+            (["stats"], "{}", HEADER + "\n" + FIRST_ROW + ",1\n",
+             "{}: row 2 has 10 cells, expected 9"),
+            (["train", "--split"], "ids:{}", None, "cannot read split id file {}: "),
+            (["evaluate", "--model-file"], "{}", None, "cannot read model file {}: "),
+            (["evaluate", "--model-file"], "{}", "[]", "corrupt model file {}: expected an object"),
+        ],
+        ids=[
+            "grid-without-model-section", "grid-without-sections", "params-without-pairs",
+            "csv-empty", "csv-header-order", "csv-row-cells", "split-ids-unreadable",
+            "model-file-unreadable", "model-file-not-object",
+        ],
+    )
+    def test_exits_2_with_message(self, tmp_path, capsys, argv, arg, text, message):
+        path = tmp_path / "input"
+        if text is not None:
+            path.write_text(text)
+        out = [] if argv == ["stats"] else ["--out", str(tmp_path / "out")]
+        rc = run_cli(*argv, arg.format(path), *out)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message.format(path) in err
+        assert "Traceback" not in err
+
+
 class TestEvaluate:
     def test_writes_reports_and_predictions(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -638,6 +680,18 @@ class TestImportance:
             "w_c",
             "aggregate",
         ]
+
+    def test_model_file_without_splits_is_degenerate(self, tmp_path, capsys):
+        params = tmp_path / "params.txt"
+        params.write_text("n_estimators = 0\n")
+        out = tmp_path / "out"
+        assert run_cli("train", "--params", str(params), "--out", str(out)) == 0
+        model_file = out / "model_gbrt_compressive.json"
+        capsys.readouterr()
+        assert run_cli("importance", "--model-file", str(model_file), "--out", str(out)) == 0
+        assert "ensemble has no splits; ranking is degenerate" in capsys.readouterr().out
+        rows = read_csv(out / "importance_compressive.csv")
+        assert [row[1:4] for row in rows[1:]] == [["0.0", "0.0", "0.0"]] * 4
 
 
 class TestReproduce:

@@ -12,6 +12,7 @@ from pervml.data import (
     Dataset,
     DatasetError,
     MixtureRecord,
+    Scaler,
     bundled_path,
     describe,
     fit_scaler,
@@ -200,6 +201,25 @@ class TestSplit:
         assert [positions[mid] for mid in train.ids] == sorted(
             positions[mid] for mid in train.ids
         )
+
+
+class TestDatasetErrors:
+    def test_duplicate_id(self, bundled):
+        with pytest.raises(DatasetError, match="duplicate mixture id 'C1'"):
+            Dataset(bundled.records[:2] + bundled.records[:1])
+
+    def test_unknown_column(self, bundled):
+        with pytest.raises(DatasetError, match="unknown column 'slump'"):
+            bundled.column("slump")
+
+    def test_unfitted_scaler_column(self, full_scaler):
+        scaler = Scaler({"cement": full_scaler.column_range("cement")})
+        with pytest.raises(DatasetError, match="scaler was not fitted on column 'w_c'"):
+            scaler.transform("w_c", 0.35)
+
+    def test_scaler_on_empty_dataset(self):
+        with pytest.raises(DatasetError, match="cannot fit scaler on an empty dataset"):
+            fit_scaler(Dataset(()))
 
 
 class TestRecordValidation:

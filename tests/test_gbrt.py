@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from pervml import _kernels, gbrt
 from pervml._kernels import best_split_kernel
 from pervml.gbrt import GbrtParams, Tree, TreeEnsemble, build_tree, presort
-from pervml.metrics import mse
 from pervml.modelio import ModelIOError
+
+from test_tuning import mse
 
 STUMP_X = np.array([[0.0], [1.0]])
 STUMP_Y = np.array([0.0, 1.0])
@@ -1007,6 +1008,10 @@ class TestFitInputs:
         huge = gbrt.fit(train.X, train.y, replace(params, max_depth=2**64 + 5))
         assert [tree_bits(t) for t in huge.trees] == [tree_bits(t) for t in want.trees]
         assert max(max(node_depths(tree)) for tree in huge.trees) == 7
+
+    def test_feature_names_must_match_columns(self):
+        with pytest.raises(ValueError, match="feature_names length must match column count"):
+            gbrt.fit(STUMP_X, STUMP_Y, stump_params(), feature_names=("a", "b"))
 
     def test_zero_estimators(self, train_slices):
         train = train_slices["compressive"]

@@ -10,8 +10,8 @@ from pervml.metrics import (
     UndefinedCorrelationError,
     evaluate_all,
     mae,
+    pearson,
     mape,
-    mse,
     r_squared,
     rmse,
 )
@@ -115,6 +115,10 @@ class TestErrors:
         with pytest.raises(ValueError, match="mismatch"):
             rmse([1.0], [1.0, 2.0])
 
+    def test_pearson_length_mismatch(self):
+        with pytest.raises(ValueError, match=r"length mismatch: \(2,\) vs \(3,\)"):
+            pearson([1.0, 2.0], [1.0, 2.0, 3.0])
+
     def test_empty(self):
         with pytest.raises(ValueError, match="empty"):
             mae([], [])
@@ -135,6 +139,3 @@ class TestEvaluateAll:
         assert report.r2 is None
         assert report.rmse > 0
         assert report.mae > 0
-
-    def test_mse_helper(self):
-        assert mse([0.0, 0.0], [3.0, 4.0]) == pytest.approx(12.5)

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pervml import _kernels, cli, gbrt, pipeline, svr, tuning
+from pervml import _kernels, cli, gbrt, pipeline, svr
 from pervml.data import FEATURE_COLUMNS
-from pervml.metrics import mse
 from pervml.tuning import (
     CvResult,
     HyperGrid,
@@ -18,6 +17,12 @@ from pervml.tuning import (
     read_params_file,
     refit_best,
 )
+
+
+def mse(y, y_hat):
+    """Squared-error mean of one fold, the oracle's score."""
+    d = y - y_hat
+    return float((d * d).mean())
 
 
 def unshared_grid_search(train, grid, k=5, seed=42):
@@ -101,6 +106,14 @@ class TestHyperGrid:
         assert combos[0] == {"eta": 0.1, "max_depth": 2}
         assert combos[1] == {"eta": 0.1, "max_depth": 5}
         assert combos[-1] == {"eta": 0.3, "max_depth": 5}
+
+    def test_no_axes_rejected(self):
+        with pytest.raises(ValueError, match="grid needs at least one axis"):
+            HyperGrid(family="gbrt", axes={})
+
+    def test_unknown_family_in_params_rejected(self):
+        with pytest.raises(ValueError, match="unknown model family 'forest'"):
+            make_params("forest", {"eta": 0.1})
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -261,15 +274,21 @@ ORACLE_GRIDS = {
 
 
 class TestSharedFitsMatchUnshared:
-    # nan_score_first, mixed_kernels and svr_cap_hits hit the SMO cap.
+    # nan_score_first, mixed_kernels and svr_cap_hits hit the SMO cap. At 10
+    # folds a score layout that sums folds or rows in another order than a
+    # 1-D array changes last bits; at 5 it does not.
     @pytest.mark.filterwarnings("ignore::pervml.svr.SvrConvergenceWarning")
-    @pytest.mark.parametrize("name", list(ORACLE_GRIDS))
-    def test_results_identical(self, train_slices, name):
+    @pytest.mark.parametrize(
+        "name, k",
+        [(name, k) for k in (5, 10) for name in ORACLE_GRIDS],
+        ids=[name if k == 5 else f"{name}-k{k}" for k in (5, 10) for name in ORACLE_GRIDS],
+    )
+    def test_results_identical(self, train_slices, name, k):
         family, axes = ORACLE_GRIDS[name]
         grid = HyperGrid(family=family, axes=axes)
         train = train_slices["compressive"]
-        _, results = grid_search(train, grid, k=5, seed=42)
-        expected = unshared_grid_search(train, grid, k=5, seed=42)
+        _, results = grid_search(train, grid, k=k, seed=42)
+        expected = unshared_grid_search(train, grid, k=k, seed=42)
         assert len(results) == len(expected) == grid.n_combinations
         for got, want in zip(results, expected):
             assert got.combination == want.combination
@@ -367,14 +386,17 @@ class TestNonFiniteRanking:
         assert best["degree"] == 2
 
     def test_nan_mean_ranks_after_finite(self, train_slices, monkeypatch):
-        real_mse = tuning.mse
+        real_stage_predictions = svr.stage_predictions
         calls = []
 
-        def first_score_nan(y, prediction):
+        def first_prediction_nan(X, y, members, X_new):
+            predictions = real_stage_predictions(X, y, members, X_new)
             calls.append(None)
-            return math.nan if len(calls) == 1 else real_mse(y, prediction)
+            if len(calls) == 1:
+                predictions[0, 0] = math.nan
+            return predictions
 
-        monkeypatch.setattr(tuning, "mse", first_score_nan)
+        monkeypatch.setattr(svr, "stage_predictions", first_prediction_nan)
         grid = HyperGrid(family="svr", axes={"C": (1.0, 10.0), "gamma": (0.11,)})
         best, results = grid_search(train_slices["compressive"], grid, k=5, seed=42)
         assert math.isnan(results[0].mean_mse)
