@@ -22,28 +22,9 @@ coefficient's set membership as two offsets beside beta, reset only for
 the two coefficients a step moves, so that pass adds an offset to e
 instead of branching on beta.
 
-SMO runs at different C on one problem (K, y, eps, tol, max_iter) share a
-prefix. Call a step box-free when s_opt < s_box and both new coefficients
-lie strictly inside (-C, C). Such a step, and the offsets it sets, are the
-same under every C' >= C: a step reads C only in s_box = min(C - bi,
-bj + C), in the two landing tests and in the offsets' comparisons with
-+-C. IEEE rounding is monotone, so s_box' >= s_box, and each segment
-before the one that breaks ends at an unclipped kink below s_box, the same
-under C'. The breaking segment is at least as long under C' (a quadratic
-break keeps its q, a kink break its kink). s_opt < s_box <= C' - bi and
-<= bj + C' fails both landing tests under C' as under C. Coefficients
-inside (-C, C) are inside (-C', C'), so the offsets agree. The pass reads
-C only through the offsets. So a run at C' repeats, bit for bit, every
-step of a run at C up to that run's first step that is not box-free, or
-its return if there is none. The state that step starts from, n_iter,
-beta and v, is the run's prefix. Every coefficient of it is inside the
-box, so its offsets follow from beta's signs alone and are not kept. A run
-at C' >= C resumes from it with a zero step: v is never -0.0 (a sum is
--0.0 only when both terms are, and v starts at +0.0), so v + 0.0 keeps its
-bits, and the first pass picks the pair the run at C picked, or returns
-where it returned. `smo_solve` returns each run's prefix and takes one
-back, so a caller that solves one problem at ascending C hands each run
-the prefix of the run before it (`svr.stage_predictions`).
+Every SMO run starts cold, at beta = 0, and depends only on (K, y, C,
+eps, tol, max_iter); `svr.stage_predictions` solves each distinct C of a
+path cold on the path's one Gram matrix.
 """
 
 from __future__ import annotations
@@ -130,7 +111,7 @@ def _load(cache):
             shutil.rmtree(private, ignore_errors=True)
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     p64 = ctypes.POINTER(i64)
-    lib.pervml_smo.argtypes = (i64, ptr, ptr, f64, f64, f64, i64, ptr, p64, ptr, ptr, p64)
+    lib.pervml_smo.argtypes = (i64, ptr, ptr, f64, f64, f64, i64, ptr, p64, ptr)
     lib.pervml_smo.restype = ctypes.c_int
     lib.pervml_gbrt_best_split.argtypes = (i64, ptr, i64, ptr, ptr, i64, ptr, ptr, f64, f64, f64, ptr)
     lib.pervml_gbrt_grow.argtypes = (
@@ -187,7 +168,7 @@ def best_split_kernel(cols, orders, rows, g, reg_lambda, reg_alpha, gamma):
     return best[0], col, best[1]
 
 
-def smo_solve(K, y, C, eps, tol, max_iter, prefix=None):
+def smo_solve(K, y, C, eps, tol, max_iter):
     """Pairwise coordinate ascent on the epsilon-insensitive dual.
 
     Works on the signed coefficients beta = alpha - alpha*, box [-C, C],
@@ -220,39 +201,25 @@ def smo_solve(K, y, C, eps, tol, max_iter, prefix=None):
     out gets s = e - inf (up) or e + inf (low), an infinity or nan, which
     fails the strict `>` / `<` tests just as skipping it does.
 
-    prefix is None, or the prefix an earlier call returned for the same K,
-    y, eps, tol and max_iter: the point where that run first touched its
-    box (module docstring). A run at a C no smaller than the prefix's
-    resumes from it; a prefix from a larger C is ignored. The result is the
-    cold run's, bit for bit; n_iter counts the steps of the shared prefix.
+    Each call starts cold at beta = 0 and n_iter = 0, so its result
+    depends on its arguments alone.
 
-    Returns (beta, max_up, min_low, n_iter, converged, prefix): beta is a
-    float64 array; max_up / min_low bracket the feasible bias interval at
+    Returns (beta, max_up, min_low, n_iter, converged): beta is a float64
+    array; max_up / min_low bracket the feasible bias interval at
     termination; their gap is the stopping measure compared against tol.
-    prefix is this run's own, (C, its n_iter, beta then v as one float64
-    array), to hand to the run at the next larger C.
     """
     K = np.ascontiguousarray(K, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     n = y.shape[0] if y.ndim == 1 else -1
     if K.shape != (n, n):
         raise ValueError(f"K must be (n, n) for y of n entries; got K {K.shape}, y {y.shape}")
-    if prefix is not None and C >= prefix[0]:
-        n_iter = ctypes.c_int64(prefix[1])
-        state = np.array(prefix[2], dtype=np.float64)
-        if state.shape != (2 * n,):
-            raise ValueError(f"prefix holds {state.size} values; {n} coefficient(s) need {2 * n}")
-    else:
-        n_iter = ctypes.c_int64(0)
-        state = np.zeros(2 * n)
-    snap = np.empty(2 * n)
-    snap_iter = ctypes.c_int64()
+    beta = np.empty(n)
+    n_iter = ctypes.c_int64()
     bounds = (ctypes.c_double * 2)()
-    flags = library().pervml_smo(
+    converged = library().pervml_smo(
         n, K.ctypes.data, y.ctypes.data, C, eps, tol, min(max(max_iter, 0), INT64_MAX),
-        state.ctypes.data, ctypes.byref(n_iter), bounds, snap.ctypes.data, ctypes.byref(snap_iter),
+        beta.ctypes.data, ctypes.byref(n_iter), bounds,
     )
-    if flags < 0:
-        raise MemoryError("SMO could not allocate its offsets")
-    own = (C, snap_iter.value, snap) if flags & 2 else (C, n_iter.value, state)
-    return state[:n].copy(), bounds[0], bounds[1], n_iter.value, bool(flags & 1), own
+    if converged < 0:
+        raise MemoryError("SMO could not allocate its work arrays")
+    return beta, bounds[0], bounds[1], n_iter.value, bool(converged)

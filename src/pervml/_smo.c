@@ -3,43 +3,36 @@
    Built with -ffp-contract=off and without -ffast-math, so every operation
    below rounds once, as an IEEE double, in the order written: the result is
    bit for bit the one the same loop gives on Python floats or numpy scalars.
-   See smo_solve's docstring for the method and _kernels' module docstring
-   for the prefix that runs at a larger C share. */
+   See smo_solve's docstring for the method. Every run starts cold, at
+   beta = 0, from the problem alone. */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 
 /* K: n x n, row-major, read by column (K[t*n + i] is K[t, i]): a Gram
-   matrix from BLAS need not be exactly symmetric. state: beta then
-   v = K @ beta, 2n doubles, the start on entry and the end on return.
-   iter: the start's step count on entry, the end's on return. bounds:
-   max_up and min_low on return. snap: NULL, or 2n doubles that receive
-   the state the first step that is not box-free starts from, with its step
-   count in *snap_iter.
-   Returns bit 0 set when converged and bit 1 set when snap was written,
-   or -1 when memory runs out. */
+   matrix from BLAS need not be exactly symmetric. beta: n doubles that
+   receive the coefficients. iter: the step count on return. bounds:
+   max_up and min_low on return.
+   Returns 1 when converged, 0 at the cap, or -1 when memory runs out. */
 int pervml_smo(int64_t n, const double *K, const double *y, double C,
-               double eps, double tol, int64_t max_iter, double *state,
-               int64_t *iter, double *bounds, double *snap,
-               int64_t *snap_iter)
+               double eps, double tol, int64_t max_iter, double *beta,
+               int64_t *iter, double *bounds)
 {
-    double *beta = state, *v = state + n;
-    double *up = malloc((size_t)(2 * n + 1) * sizeof(double));
-    double *low = up + n;
+    double *v = malloc((size_t)(3 * n + 1) * sizeof(double)); /* v = K @ beta */
+    double *up = v + n, *low = up + n;
     const double *col_i = beta, *col_j = beta; /* the first move is zero along beta */
-    int64_t stride = 1, i = -1, j = -1, t, it = *iter;
+    int64_t stride = 1, i = -1, j = -1, t, it = 0;
     double neg_C = -C, two_eps = 2.0 * eps, d_i = 0.0, d_j = 0.0;
     double up_best, low_best;
-    int sharing = snap != NULL, snapped = 0;
 
-    if (up == NULL)
+    if (v == NULL)
         return -1;
-    /* Every coefficient of a start is strictly inside the box. */
+    /* beta = 0: every coefficient is in the up set at -eps and the low set at +eps. */
     for (t = 0; t < n; t++) {
-        up[t] = beta[t] >= 0.0 ? -eps : eps;
-        low[t] = beta[t] > 0.0 ? -eps : eps;
+        beta[t] = v[t] = 0.0;
+        up[t] = -eps;
+        low[t] = eps;
     }
     for (;;) {
         /* Add the last move to v; pick the maximal violating pair, i up, j down. */
@@ -127,16 +120,6 @@ int pervml_smo(int64_t n, const double *K, const double *y, double C,
             bj_new = 0.0;
         else
             bj_new = bj - s_opt;
-        /* The first step that is not box-free ends the prefix that every
-           larger C shares: store the state this step starts from. */
-        if (sharing && !(s_opt < s_box && neg_C < bi_new && bi_new < C
-                         && neg_C < bj_new && bj_new < C)) {
-            memcpy(snap, state, (size_t)(2 * n) * sizeof(double));
-            *snap_iter = it - 1;
-            sharing = 0;
-            snapped = 1;
-        }
-
         beta[i] = bi_new;
         beta[j] = bj_new;
         d_i = bi_new - bi;
@@ -147,9 +130,9 @@ int pervml_smo(int64_t n, const double *K, const double *y, double C,
         up[j] = bj_new < C ? (bj_new >= 0.0 ? -eps : eps) : -INFINITY;
         low[j] = bj_new > neg_C ? (bj_new > 0.0 ? -eps : eps) : INFINITY;
     }
-    free(up);
+    free(v);
     *iter = it;
     bounds[0] = up_best;
     bounds[1] = low_best;
-    return (i < 0 || j < 0 || up_best - low_best <= tol) | snapped << 1;
+    return i < 0 || j < 0 || up_best - low_best <= tol;
 }

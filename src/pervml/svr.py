@@ -130,28 +130,26 @@ def stage_predictions(X, y, members: list[SvrParams], X_new) -> np.ndarray:
     path = {}
     for params in members:
         path.setdefault(params.C, params)
-    Cs = sorted(path)
-    models = _fit_path(X, y, [path[C] for C in Cs])
-    predictions = {C: model.predict(X_new) for C, model in zip(Cs, models)}
+    models = _fit_path(X, y, list(path.values()))
+    predictions = {C: model.predict(X_new) for C, model in zip(path, models)}
     return np.stack([predictions[params.C] for params in members])
 
 
 def _fit_path(X, y, path: list[SvrParams]) -> list[SvrModel]:
-    """The model of each params of path, which differ only in C and ascend
-    in it, bit for bit the model a fit of those params alone gives: the Gram
-    matrix is built once, and each SMO run resumes from the prefix of the
-    run before it (`_kernels.smo_solve`); the first starts cold.
+    """The model of each params of path, which differ only in C, bit for bit
+    the model a fit of those params alone gives: the Gram matrix is built
+    once, and each C's SMO run starts cold on it (`_kernels.smo_solve`).
     """
     X, y = check_inputs(X, y, None)
     with np.errstate(over="ignore", invalid="ignore"):
         K = gram_matrix(path[0], X, X)
     if not np.isfinite(K).all():
         raise ValueError(f"{path[0].kernel} kernel matrix is not finite (overflow)")
-    models, prefix = [], None
+    models = []
     for params in path:
-        beta, max_up, min_low, n_iter, converged, prefix = _kernels.smo_solve(
+        beta, max_up, min_low, n_iter, converged = _kernels.smo_solve(
             K, y, float(params.C), float(params.epsilon), float(params.tol),
-            int(params.max_passes), prefix,
+            int(params.max_passes),
         )
         if not converged:
             warnings.warn(
@@ -168,7 +166,7 @@ def _fit_path(X, y, path: list[SvrParams]) -> list[SvrModel]:
             # Midpoint of the feasible bias interval [min_low, max_up].
             bias = 0.5 * (max_up + min_low)
         keep = beta != 0.0
-        models.append(SvrModel(X[keep].copy(), beta[keep].copy(), bias, params, converged, n_iter))
+        models.append(SvrModel(X[keep], beta[keep], bias, params, converged, n_iter))
     return models
 
 

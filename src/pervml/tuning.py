@@ -9,9 +9,9 @@ Combinations share fits by one rule: `fit_key` resets a family's stage
 field (gbrt's n_estimators, svr's C), and each fold makes one
 `stage_predictions` call per fit key with its members' params. gbrt grows
 the most trees a member asks for and reads every member's stage in one
-compiled walk; svr builds the training Gram matrix once and solves the C
-values in ascending order, each SMO run resuming from the prefix of the run
-before it. Each prediction is bit for bit that of the member's own fit.
+compiled walk; svr builds the training Gram matrix once and runs each
+distinct C cold on it. Each prediction is bit for bit that of the member's
+own fit.
 
 A fit key's scores are one C-ordered (members x folds) array reduced along
 its rows. A C-contiguous row sums as a 1-D array does, so each fold MSE and

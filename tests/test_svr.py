@@ -167,6 +167,24 @@ class TestFitBasics:
             model = svr.fit(X, y, params)
         assert not model.converged
 
+    @pytest.mark.filterwarnings("ignore::pervml.svr.SvrConvergenceWarning")
+    def test_stage_predictions_are_each_members_own_fit(self, train_slices):
+        # C ascends, descends and repeats; linear ignores gamma, so equal C
+        # share one fit. At 300 passes C = 200 stops at the cap and C = 1 does not.
+        sl = train_slices["compressive"]
+        X, y, X_new = sl.X[:16], sl.y[:16], sl.X[16:]
+        members = [
+            SvrParams(C=C, epsilon=0.01, kernel="linear", gamma=gamma, max_passes=300)
+            for C, gamma in [(1.0, 0.1), (39.0, 0.1), (200.0, 0.1), (39.0, 0.5), (3.0, 0.1),
+                             (1.0, 0.5), (200.0, 0.1)]
+        ]
+        own = [svr.fit(X, y, params) for params in members]
+        assert {model.converged for model in own} == {True, False}
+        staged = svr.stage_predictions(X, y, members, X_new)
+        assert staged.flags.c_contiguous and staged.shape == (len(members), len(X_new))
+        for row, model in zip(staged, own):
+            assert row.tobytes() == model.predict(X_new).tobytes()
+
     def test_shape_errors(self, rng):
         with pytest.raises(ValueError):
             svr.fit(rng.uniform(size=(3, 2)), rng.uniform(size=4), SvrParams())
@@ -290,13 +308,10 @@ def smo_oracle(K, y, C, eps, tol, max_iter):
 
 
 def smo_bits(result) -> tuple:
-    """The bits of smo_solve's or smo_oracle's first five fields."""
-    beta, max_up, min_low, n_iter, converged = result[:5]
+    """The bits of smo_solve's or smo_oracle's result."""
+    beta, max_up, min_low, n_iter, converged = result
     assert isinstance(beta, np.ndarray) and beta.dtype == np.float64
     return beta.tobytes(), repr(float(max_up)), repr(float(min_low)), n_iter, converged
-
-
-SMO_C_VALUES = [1e-3, 0.01, 0.1, 1.0, 10.0, 100.0]
 
 
 @st.composite
@@ -322,35 +337,11 @@ def smo_problems(draw):
     return (
         K,
         y,
-        draw(st.sampled_from(SMO_C_VALUES)),
+        draw(st.sampled_from([1e-3, 0.01, 0.1, 1.0, 10.0, 100.0])),
         draw(st.sampled_from([0.0, 0.01, 0.1])),
         draw(st.sampled_from([1e-3, 1e-6])),
         draw(st.sampled_from([0, 1, 3, 20, 10_000])),
     )
-
-
-@st.composite
-def smo_c_paths(draw):
-    """An smo_problems() problem and 2-4 C values to solve it at in turn (the
-    problem's own C is not used): in the order drawn, ascending or
-    descending, repeats allowed."""
-    problem = draw(smo_problems())
-    Cs = draw(st.lists(st.sampled_from(SMO_C_VALUES), min_size=2, max_size=4))
-    order = draw(st.sampled_from(["drawn", "ascending", "descending"]))
-    if order != "drawn":
-        Cs.sort(reverse=order == "descending")
-    return problem, Cs
-
-
-def solve_in_order(problem, Cs):
-    """smo_solve on `problem` at each C of Cs in turn, each call handed the
-    prefix the call before it returned."""
-    K, y, _, eps, tol, max_iter = problem
-    results, prefix = [], None
-    for C in Cs:
-        results.append(smo_solve(K, y, C, eps, tol, max_iter, prefix))
-        prefix = results[-1][5]
-    return results
 
 
 def compressive_fold_problem():
@@ -416,52 +407,11 @@ class TestSmoMatchesOracle:
     def test_bit_identical(self, problem):
         assert smo_bits(smo_solve(*problem)) == smo_bits(smo_oracle(*problem))
 
-    @settings(max_examples=100, deadline=None)
-    @given(smo_c_paths())
-    @example(  # the first step lands on the box at C = 0.01: the prefix is empty
-        ((np.eye(4), np.array([1.0, -1.0, 0.5, -0.5]), 1.0, 0.0, 1e-3, 100), [0.01, 100.0])
-    )
-    @example(  # one interior step and convergence: the whole run is box-free
-        ((np.eye(2), np.array([1.0, -1.0]), 1.0, 0.0, 1e-3, 100), [10.0, 20.0])
-    )
-    @example(  # box-free up to the cap: each run resumes at its end, unconverged
-        ((np.eye(3), np.array([-0.2, 0.9, 0.1]), 1.0, 0.0, 1e-3, 2), [10.0, 10.0, 20.0])
-    )
-    @example(  # C = 100 leaves a prefix that C = 0.01 must not take
-        ((np.eye(4), np.array([1.0, -1.0, 0.5, -0.5]), 1.0, 0.0, 1e-3, 100), [100.0, 0.01])
-    )
-    @example(  # the third step's s_opt, 0.062499999999999986, is below s_box =
-        # 0.0625, but 0.55 + s_opt rounds to C = 0.6125: coefficient 1 is on
-        # the box and the prefix ends
-        ((np.eye(3), np.array([-0.2, 0.9, 0.1]), 1.0, 0.0, 1e-3, 100), [0.6125, 1.225])
-    )
-    @example(  # the same with y negated: coefficient 1 rounds to -C
-        ((np.eye(3), np.array([0.2, -0.9, -0.1]), 1.0, 0.0, 1e-3, 100), [0.6125, 1.225])
-    )
-    @example((compressive_fold_problem(), [39.0, 200.0]))
-    def test_prefix_sharing_is_bit_identical(self, path):
-        problem, Cs = path
-        K, y, _, eps, tol, max_iter = problem
-        for C, result in zip(Cs, solve_in_order(problem, Cs)):
-            cold = (K, y, C, eps, tol, max_iter)
-            assert smo_bits(result) == smo_bits(smo_solve(*cold)) == smo_bits(smo_oracle(*cold))
-
-    def test_larger_c_returns_a_prefix_at_least_as_long(self):
-        K, y, _, eps, tol, max_iter = compressive_fold_problem()
-        prefix = smo_solve(K, y, 39.0, eps, tol, max_iter)[5]
-        assert prefix[0] == 39.0 and prefix[1] > 0
-        longer = smo_solve(K, y, 200.0, eps, tol, max_iter, prefix)[5]
-        assert longer[0] == 200.0 and longer[1] >= prefix[1]
-        # A run's prefix does not depend on the prefix it resumed from.
-        cold = smo_solve(K, y, 200.0, eps, tol, max_iter)[5]
-        assert cold[:2] == longer[:2] and cold[2].tobytes() == longer[2].tobytes()
-
     def test_empty_problem(self):
         problem = (np.empty((0, 0)), np.empty(0), 1.0, 0.1, 1e-3, 100)
-        beta, max_up, min_low, n_iter, converged, prefix = smo_solve(*problem)
+        beta, max_up, min_low, n_iter, converged = smo_solve(*problem)
         assert beta.shape == (0,)
         assert (max_up, min_low, n_iter, converged) == (-np.inf, np.inf, 0, True)
-        assert prefix[:2] == (1.0, 0) and prefix[2].shape == (0,)
         assert smo_bits(smo_solve(*problem)) == smo_bits(smo_oracle(*problem))
 
 
@@ -492,11 +442,6 @@ class TestSmoInputs:
         K, y = convert(K), convert(y)
         oracle = smo_oracle(np.array(K, dtype=np.float64), np.array(y, dtype=np.float64), *rest)
         assert smo_bits(smo_solve(K, y, *rest)) == smo_bits(oracle)
-
-    def test_prefix_of_another_problem_size_raises(self):
-        *_, prefix = smo_solve(np.eye(3), np.array([-0.2, 0.9, 0.1]), 1.0, 0.0, 1e-3, 100)
-        with pytest.raises(ValueError, match="prefix holds 6 values; 2 coefficient"):
-            smo_solve(np.eye(2), np.array([1.0, -1.0]), 1.0, 0.0, 1e-3, 100, prefix)
 
     def test_huge_max_iter_is_not_wrapped(self):
         # 2**64 + 5 wraps to 5 in a 64-bit integer; this problem needs 32,475 steps.

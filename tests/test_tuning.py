@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pervml import _kernels, cli, gbrt, pipeline, svr
+from pervml import gbrt, svr
 from pervml.data import FEATURE_COLUMNS
 from pervml.tuning import (
     CvResult,
@@ -332,42 +332,6 @@ class TestSharedFitsMatchUnshared:
         monkeypatch.setattr(svr, "gram_matrix", counting_gram)
         grid_search(train_slices["density"], HyperGrid(family="svr", axes=axes), k=5, seed=42)
         assert builds[0] == fit_keys * 5
-
-
-def record_prefixes(monkeypatch):
-    """(C, prefix handed in, prefix returned) of each smo_solve call from here on."""
-    seen = []
-    solve = _kernels.smo_solve
-
-    def recording_solve(K, y, C, eps, tol, max_iter, prefix=None):
-        result = solve(K, y, C, eps, tol, max_iter, prefix)
-        seen.append((C, prefix, result[5]))
-        return result
-
-    monkeypatch.setattr(_kernels, "smo_solve", recording_solve)
-    return seen
-
-
-class TestSmoPrefixes:
-    def test_search_chains_each_path(self, train_slices, monkeypatch):
-        seen = record_prefixes(monkeypatch)
-        grid = HyperGrid(family="svr", axes={"C": (10.0, 1.0, 39.0), "gamma": (0.11, 0.5)})
-        grid_search(train_slices["compressive"], grid, k=5, seed=42)
-        assert [C for C, _, _ in seen] == [1.0, 10.0, 39.0] * 2 * 5  # 2 paths x 5 folds
-        previous = None
-        for C, handed, returned in seen:
-            assert handed is (None if C == 1.0 else previous)
-            previous = returned
-
-    def test_fits_outside_a_search_pass_no_prefix(
-        self, bundled, train_slices, tmp_path, monkeypatch
-    ):
-        seen = record_prefixes(monkeypatch)
-        refit_best(train_slices["tensile"], "svr", {"C": 39.0, "gamma": 0.11})
-        assert cli.run(["train", "--model", "svr", "--out", str(tmp_path)]) == 0
-        pipeline.reproduce(bundled)
-        assert len(seen) == 1 + 1 + 4
-        assert all(handed is None for _, handed, _ in seen)
 
 
 class TestNonFiniteRanking:
