@@ -1,5 +1,5 @@
-/* Boosted regression trees: the rounds of gbrt.fit, the grower behind
-   gbrt.build_tree, the split scan behind _kernels.best_split_kernel and the
+/* Boosted regression trees: the rounds of gbrt.fit (gbrt.build_tree is one
+   round of them), the split scan behind _kernels.best_split_kernel and the
    walk behind TreeEnsemble.predict_stages.
 
    Built with -ffp-contract=off and without -ffast-math, so every operation
@@ -297,45 +297,20 @@ int64_t pervml_gbrt_best_split(int64_t n, const double *cols, int64_t k,
     return scan(&f, columns, k, ord, m, rows, m, g, best, best + 1);
 }
 
-/* build_tree: one tree grown on the m rows, routing the n_out rows, with
-   the k candidate columns, into a node table of the given capacity.
-   Returns its node count, -1 when the table is full or -2 when memory
-   runs out. */
-int64_t pervml_gbrt_grow(int64_t n, const double *cols, const int64_t *orders,
-                         const double *g, int64_t m, const int64_t *rows,
-                         int64_t n_out, const int64_t *out, int64_t k,
-                         const int64_t *columns, int64_t max_depth,
-                         double gamma, double reg_lambda, double reg_alpha,
-                         int64_t capacity, int64_t *links, double *nodes,
-                         int64_t *leaf_of)
-{
-    Fit f = {n, cols, orders, max_depth, gamma, reg_lambda, reg_alpha};
-    Nodes t;
-    Work w;
-    int64_t size;
-
-    if (work_alloc(&w, n, k) < 0)
-        return -2;
-    memcpy(w.rows, rows, (size_t)m * sizeof(int64_t));
-    memcpy(w.out, out, (size_t)n_out * sizeof(int64_t));
-    nodes_at(&t, capacity, links, nodes);
-    size = grow(&f, &w, m, n_out, columns, k, g, &t, leaf_of);
-    work_free(&w);
-    return size;
-}
-
-/* gbrt.fit's rounds. Draw id draw[r] names round r's draw: its n_rows
-   sampled rows, ascending, at draw_rows + id*n_rows and its k candidate
-   columns, ascending, at draw_cols + id*k; the rest of the rows are left
-   out. Each round takes the gradients p - y, grows a tree on its draw,
-   scales every node's value by eta and adds each row's leaf value to its
-   prediction. A tree that left every prediction's bits unchanged is stored
-   under its draw, and a later round with that draw repeats it instead of
-   growing one; a tree that changed any prediction empties the store.
-   spans[2r], spans[2r + 1] receive the node range of round r's tree: a
-   repeated tree's is the range of the round that grew it. Returns the
-   number of nodes written, -1 when the table is full or -2 when memory
-   runs out. */
+/* gbrt.fit's rounds, and gbrt.build_tree's one round with leaf_out. Draw
+   id draw[r] names round r's draw: its n_rows sampled rows, ascending, at
+   draw_rows + id*n_rows and its k candidate columns, ascending, at
+   draw_cols + id*k; the rest of the rows are left out. Each round takes
+   the gradients p - y, grows a tree on its draw, scales every node's value
+   by eta and adds each row's leaf value to its prediction. A tree that
+   left every prediction's bits unchanged is stored under its draw, and a
+   later round with that draw repeats it instead of growing one; a tree
+   that changed any prediction empties the store. spans[2r], spans[2r + 1]
+   receive the node range of round r's tree: a repeated tree's is the
+   range of the round that grew it. Unless leaf_out is NULL, leaf_out[i]
+   receives row i's local leaf number in the last tree the call grew.
+   Returns the number of nodes written, -1 when the table is full or -2
+   when memory runs out. */
 int64_t pervml_gbrt_fit(int64_t n, const double *cols, const int64_t *orders,
                         const double *y, int64_t n_rows,
                         const int64_t *draw_rows, int64_t k,
@@ -344,7 +319,7 @@ int64_t pervml_gbrt_fit(int64_t n, const double *cols, const int64_t *orders,
                         int64_t max_depth, double eta, double gamma,
                         double reg_lambda, double reg_alpha, double base_score,
                         int64_t capacity, int64_t *links, double *nodes,
-                        int64_t *spans)
+                        int64_t *spans, int64_t *leaf_out)
 {
     Fit f = {n, cols, orders, max_depth, gamma, reg_lambda, reg_alpha};
     Nodes t;
@@ -400,6 +375,8 @@ int64_t pervml_gbrt_fit(int64_t n, const double *cols, const int64_t *orders,
             next[i] = preds[i] + value[leaf_of[i]];
         spans[2 * r] = start;
         spans[2 * r + 1] = start + size;
+        if (leaf_out != NULL)
+            memcpy(leaf_out, leaf_of, (size_t)n * sizeof(int64_t));
 
         /* Bits, not ==: a leaf of 0.0 turns a prediction of -0.0 into 0.0. */
         if (memcmp(next, preds, (size_t)n * sizeof(double)) == 0) {

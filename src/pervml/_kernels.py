@@ -13,8 +13,8 @@ The compiled loops are the only implementation.
 
 `gbrt.fit` makes one call per fit, which runs every boosting round, and
 `gbrt.TreeEnsemble.predict_stages` one, which walks every row through the
-node tables; `best_split_kernel` and `gbrt.build_tree` enter the same scan
-and grower for one node or one tree.
+node tables; `best_split_kernel` enters the same scan for one node, and
+`gbrt.build_tree` makes the fit's call for one round.
 
 SMO's pass walks the coefficients once per iteration: that pass both adds
 the last step to v = K @ beta and selects the next pair. SMO keeps each
@@ -114,15 +114,12 @@ def _load(cache):
     lib.pervml_smo.argtypes = (i64, ptr, ptr, f64, f64, f64, i64, ptr, p64, ptr)
     lib.pervml_smo.restype = ctypes.c_int
     lib.pervml_gbrt_best_split.argtypes = (i64, ptr, i64, ptr, ptr, i64, ptr, ptr, f64, f64, f64, ptr)
-    lib.pervml_gbrt_grow.argtypes = (
-        i64, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, ptr, i64, f64, f64, f64, i64, ptr, ptr, ptr,
-    )
     lib.pervml_gbrt_fit.argtypes = (
         i64, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, i64, ptr,
-        i64, f64, f64, f64, f64, f64, i64, ptr, ptr, ptr,
+        i64, f64, f64, f64, f64, f64, i64, ptr, ptr, ptr, ptr,
     )
     lib.pervml_gbrt_predict.argtypes = (i64, i64, ptr, i64, ptr, ptr, ptr, f64, i64, ptr, ptr)
-    for name in ("best_split", "grow", "fit", "predict"):
+    for name in ("best_split", "fit", "predict"):
         getattr(lib, f"pervml_gbrt_{name}").restype = i64
     return lib
 

@@ -41,8 +41,7 @@ so they end in the leaf a walk of the new tree would reach (XGBoost's
 prediction cache, updated from the row partition of growth). Every row
 takes its prediction update from its leaf, and `fit` walks no tree. Python
 keeps the input check, the presort and the draws; the ensemble keeps the
-node tables the call returns. `build_tree` grows one tree with the same C
-grower.
+node tables the call returns. `build_tree` is one round of that call.
 
 While the training predictions keep their bits, so do the gradients, so a
 tree is a pure function of its round's draw of rows and columns. `fit`
@@ -196,7 +195,7 @@ def presort(X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nodes_written(size: int) -> int:
-    """The node count a compiled grower returned, or the error it stands for."""
+    """The node count the compiled fit returned, or the error it stands for."""
     if size == -2:
         raise MemoryError("gbrt could not allocate its work space")
     if size < 0:
@@ -217,12 +216,15 @@ def build_tree(cols, orders, rows, g, params: GbrtParams, columns=None, left_out
     the threshold test that prediction applies, so no node sorts and a
     left-out row ends in the leaf prediction would send it to. Returns the
     tree, leaf values not yet scaled by eta, and its leaves as (node, rows,
-    left-out rows) triples. The grower is C (`_gbrt.c`), the one `fit` runs.
+    left-out rows) triples. The tree is one round of `fit`'s C call, on
+    targets y = -g from base score 0.0 with eta 1.0: the round's gradients
+    0.0 - y are g but for -0.0, which becomes 0.0, and no sum (each starts
+    from 0.0) or gain (each reads |G|) tells the two apart.
     """
     if len(rows) == 0:
         raise ValueError("need at least one sample")
-    g = np.ascontiguousarray(g, dtype=np.float64)
-    n = len(g)
+    y = -np.ascontiguousarray(g, dtype=np.float64)
+    n = len(y)
     cols = np.ascontiguousarray(cols, dtype=np.float64).reshape(-1, n)
     columns = _kernels.indices(
         range(len(cols)) if columns is None else columns, len(cols), "columns"
@@ -230,8 +232,8 @@ def build_tree(cols, orders, rows, g, params: GbrtParams, columns=None, left_out
     rows = _kernels.indices(rows, n, "rows")
     left_out = _kernels.indices(left_out, n, "left_out")
     orders = _kernels.indices(orders, n, "orders").reshape(cols.shape)
-    # The grower cuts each order down to the rows by flagging them, so an
-    # order must hold every row once and rows and left_out no row twice.
+    # The fit cuts each order down to the rows by flagging them, so an order
+    # must hold every row once and rows, like left_out, no row twice.
     if not (
         (np.diff(rows) > 0).all()
         and (np.diff(left_out) > 0).all()
@@ -241,13 +243,14 @@ def build_tree(cols, orders, rows, g, params: GbrtParams, columns=None, left_out
     capacity = 2 * len(rows) - 1  # every leaf holds a row
     links = np.empty((2, capacity), dtype=np.int64)
     nodes = np.empty((4, capacity))
+    spans, draw = np.empty(2, dtype=np.int64), np.zeros(1, dtype=np.int64)
     leaf_of = np.empty(n, dtype=np.int64)
-    size = _nodes_written(_kernels.library().pervml_gbrt_grow(
-        n, cols.ctypes.data, orders.ctypes.data, g.ctypes.data,
-        len(rows), rows.ctypes.data, len(left_out), left_out.ctypes.data,
-        len(columns), columns.ctypes.data, min(params.max_depth, _kernels.INT64_MAX),
-        params.gamma, params.reg_lambda, params.reg_alpha,
-        capacity, links.ctypes.data, nodes.ctypes.data, leaf_of.ctypes.data,
+    size = _nodes_written(_kernels.library().pervml_gbrt_fit(
+        n, cols.ctypes.data, orders.ctypes.data, y.ctypes.data,
+        len(rows), rows.ctypes.data, len(columns), columns.ctypes.data, 1,
+        1, draw.ctypes.data, min(params.max_depth, _kernels.INT64_MAX),
+        1.0, params.gamma, params.reg_lambda, params.reg_alpha, 0.0,
+        capacity, links.ctypes.data, nodes.ctypes.data, spans.ctypes.data, leaf_of.ctypes.data,
     ))
     tree = _tree(links, nodes, 0, size)
     leaf_of, rows, left_out = leaf_of.tolist(), rows.tolist(), left_out.tolist()
@@ -330,7 +333,7 @@ def fit(X, y, params: GbrtParams, feature_names=None) -> TreeEnsemble:
         n_rows, rows.ctypes.data, columns.shape[1], columns.ctypes.data, len(rows),
         rounds, draw.ctypes.data, min(params.max_depth, _kernels.INT64_MAX),
         params.eta, params.gamma, params.reg_lambda, params.reg_alpha, params.base_score,
-        capacity, links.ctypes.data, nodes.ctypes.data, spans.ctypes.data,
+        capacity, links.ctypes.data, nodes.ctypes.data, spans.ctypes.data, None,
     ))
     return TreeEnsemble(
         params.base_score, params.eta, feature_names, links[:, :size], nodes[:, :size], spans

@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -69,6 +71,29 @@ class TestStats:
         err = capsys.readouterr().err
         assert f"{table}: row 4: field larger than field limit" in err
         assert "Traceback" not in err
+
+
+class TestModuleEntry:
+    """`python -m pervml.cli` runs `main`, which exits with `run`'s status."""
+
+    @staticmethod
+    def run_module(*argv, cwd):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        return subprocess.run(
+            [sys.executable, "-m", "pervml.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=cwd,
+        )
+
+    def test_version(self, tmp_path):
+        done = self.run_module("--version", cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"pervml {__version__}\n", "")
+
+    def test_missing_file_exits_2_with_one_error_line(self, tmp_path):
+        done = self.run_module("stats", "missing.csv", cwd=tmp_path)
+        assert (done.returncode, done.stdout) == (2, "")
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("pervml stats: error:")
+        assert "missing.csv" in lines[0] and "Traceback" not in done.stderr
 
 
 class TestUsageErrors:

@@ -84,6 +84,16 @@ class TestLoadCsv:
         assert ds.ids == bundled.ids
         assert describe(ds) == describe(bundled)
 
+    def test_blank_and_whitespace_rows_are_skipped(self, bundled, tmp_path):
+        with open(bundled_path(), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[5:5] = ["", " \t "]
+        path = tmp_path / "gaps.csv"
+        path.write_text("\n".join(lines) + "\n")
+        ds = load_csv(path)
+        assert ds.ids == bundled.ids and len(ds) == 24
+        assert describe(ds) == describe(bundled)
+
     def test_nonpositive_value_rejected(self, tmp_path):
         bad = GOOD_ROW.replace("2.21", "-2.21")
         path = _write_csv(tmp_path / "neg.csv", [bad])

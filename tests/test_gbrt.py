@@ -253,6 +253,21 @@ class TestBuildTree:
         with pytest.raises(ValueError, match="at least one"):
             grow(np.empty((0, 2)), np.empty(0), stump_params())
 
+    # build_tree's round takes 0.0 - (-g) as its gradients, so it grows a
+    # -0.0 gradient as 0.0: 3 and 9 rows sum below and above numpy's 8
+    # lanes, and the split's left leaf holds only -0.0.
+    @pytest.mark.parametrize(
+        "x, g, max_depth",
+        [([0.0] * 3, [-0.0] * 3, 0), ([0.0] * 9, [-0.0] * 9, 0),
+         ([0.0, 0.0, 1.0], [-0.0, -0.0, -1.0], 1)],
+        ids=["leaf_of_3", "leaf_of_9", "split"],
+    )
+    def test_negative_zero_gradients_keep_the_reference_bits(self, x, g, max_depth):
+        X, g, params = np.array(x)[:, None], np.array(g), stump_params(max_depth=max_depth)
+        tree = grow(X, g, params)
+        assert tree_bits(tree) == tree_bits(reference_build_tree(X, g, params))
+        assert len(tree.feature) == 2 * max_depth + 1
+
     # The compiled grower indexes by every row and column number it is given.
     @pytest.mark.parametrize(
         "bad",
@@ -1269,18 +1284,19 @@ class TestPredictStages:
 
 
 class TestCompiledErrors:
-    """The compiled grower's error codes, as `_nodes_written` raises them."""
+    """The compiled fit's error codes, as `_nodes_written` raises them."""
 
     def test_a_full_node_table_raises(self):
-        # Two rows that split need three nodes; a table of one holds the root only.
+        # Two rows that split need three nodes; a table of one holds the root
+        # only. One round, on every row and the one column, from base score 0.
         cols, orders = presort(STUMP_X)
-        g, rows, columns = np.array([0.5, -0.5]), np.arange(2), np.zeros(1, dtype=np.int64)
+        y, rows, columns = np.array([-0.5, 0.5]), np.arange(2), np.zeros(1, dtype=np.int64)
         links, nodes = np.empty((2, 1), dtype=np.int64), np.empty((4, 1))
-        leaf_of = np.empty(2, dtype=np.int64)
-        size = _kernels.library().pervml_gbrt_grow(
-            2, cols.ctypes.data, orders.ctypes.data, g.ctypes.data, 2, rows.ctypes.data,
-            0, rows.ctypes.data, 1, columns.ctypes.data, 6, 0.0, 0.0, 0.0,
-            1, links.ctypes.data, nodes.ctypes.data, leaf_of.ctypes.data,
+        spans, draw = np.empty(2, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        size = _kernels.library().pervml_gbrt_fit(
+            2, cols.ctypes.data, orders.ctypes.data, y.ctypes.data, 2, rows.ctypes.data,
+            1, columns.ctypes.data, 1, 1, draw.ctypes.data, 6, 1.0, 0.0, 0.0, 0.0, 0.0,
+            1, links.ctypes.data, nodes.ctypes.data, spans.ctypes.data, None,
         )
         assert size == -1
         with pytest.raises(RuntimeError, match="more nodes than its node table holds"):
@@ -1291,7 +1307,7 @@ class TestCompiledErrors:
         # space holds; the fit returns before it reads any table.
         size = _kernels.library().pervml_gbrt_fit(
             2**58, None, None, None, 1, None, 1, None, 1, 0, None,
-            1, 1.0, 0.0, 1.0, 0.0, 0.5, 0, None, None, None,
+            1, 1.0, 0.0, 1.0, 0.0, 0.5, 0, None, None, None, None,
         )
         assert size == -2
         with pytest.raises(MemoryError, match="could not allocate"):
